@@ -16,61 +16,6 @@
 
 namespace cobra::kernel {
 
-namespace {
-
-/// Opens the operator span for a context form; a null context (serial form)
-/// or a context with no sink installed records nothing.
-trace::SpanGuard OpSpan(const ExecContext* ctx, const char* op) {
-  return trace::SpanGuard(ctx != nullptr ? ctx->trace : nullptr,
-                          ctx != nullptr ? ctx->trace_parent : nullptr, op);
-}
-
-/// NaN-skipping aggregate comparisons: the candidate replaces the best when
-/// strictly better, or when the best so far is NaN and the candidate is not.
-/// NaN tails therefore never win unless every tail is NaN — and, crucially,
-/// the serial scan and the morsel-combined scan agree for any NaN placement
-/// (a plain `v > best` poisons whichever range happens to start on a NaN).
-bool BetterMax(double v, double best) {
-  return std::isnan(best) ? !std::isnan(v) : v > best;
-}
-bool BetterMin(double v, double best) {
-  return std::isnan(best) ? !std::isnan(v) : v < best;
-}
-
-/// Head/tail index lifecycle accounting around a probe: snapshot before,
-/// then record the probe plus any build (and whether a stale index forced
-/// it) after. All accel_info() calls are gated on the span being live.
-struct IndexProbeScope {
-  IndexProbeScope(trace::SpanGuard& span, const Bat& bat, bool head)
-      : span_(span), bat_(bat), head_(head) {
-    if (!span_.enabled()) return;
-    const Bat::AccelInfo before = bat_.accel_info();
-    builds_before_ = head_ ? before.head_builds : before.tail_builds;
-    was_stale_ = head_ ? (before.head_index_built && !before.head_index_fresh)
-                       : (before.tail_index_built && !before.tail_index_fresh);
-  }
-
-  /// Call once the probe (index lookup attempt) has happened.
-  void Record() {
-    if (!span_.enabled()) return;
-    span_.IndexProbes(1);
-    const Bat::AccelInfo after = bat_.accel_info();
-    const uint64_t built =
-        (head_ ? after.head_builds : after.tail_builds) - builds_before_;
-    span_.IndexBuilds(built);
-    if (was_stale_ && built > 0) span_.IndexInvalidations(1);
-  }
-
- private:
-  trace::SpanGuard& span_;
-  const Bat& bat_;
-  bool head_;
-  uint64_t builds_before_ = 0;
-  bool was_stale_ = false;
-};
-
-}  // namespace
-
 std::string_view TailTypeName(TailType t) {
   switch (t) {
     case TailType::kInt:
@@ -203,28 +148,25 @@ uint32_t Bat::InternStr(std::string v) {
   return it->second;
 }
 
-bool Bat::LookupStrCode(const std::string& s, uint32_t* code) const {
-  auto it = dict_.find(s);
-  if (it == dict_.end()) return false;
-  *code = it->second;
-  return true;
-}
-
-uint64_t Bat::TailKeyAt(size_t i) const {
+bool Bat::ProbeKey(const Value& v, uint64_t* key) const {
   switch (tail_type_) {
     case TailType::kInt:
-      return std::bit_cast<uint64_t>(ints_[i]);
-    case TailType::kFloat: {
-      double d = floats_[i];
-      if (d == 0.0) d = 0.0;  // fold -0.0 into +0.0: they compare equal
-      return std::bit_cast<uint64_t>(d);
+      *key = std::bit_cast<uint64_t>(v.AsInt());
+      return true;
+    case TailType::kFloat:
+      *key = FloatKey(v.AsFloat());
+      return !std::isnan(v.AsFloat());  // NaN never compares equal
+    case TailType::kStr: {
+      auto it = dict_.find(v.AsStr());
+      if (it == dict_.end()) return false;
+      *key = it->second;
+      return true;
     }
-    case TailType::kStr:
-      return str_codes_[i];
     case TailType::kOid:
-      return oids_[i];
+      *key = v.AsOid();
+      return true;
   }
-  return 0;
+  return false;
 }
 
 std::shared_ptr<const Bat::HashIndex> Bat::TailIndex(bool force) const {
@@ -382,26 +324,7 @@ Result<uint64_t> Bat::CountEq(const Value& v) const {
                   std::string(TailTypeName(tail_type_)).c_str()));
   }
   uint64_t key = 0;
-  switch (tail_type_) {
-    case TailType::kInt:
-      key = std::bit_cast<uint64_t>(v.AsInt());
-      break;
-    case TailType::kFloat: {
-      double d = v.AsFloat();
-      if (d == 0.0) d = 0.0;
-      key = std::bit_cast<uint64_t>(d);
-      break;
-    }
-    case TailType::kStr: {
-      uint32_t code = 0;
-      if (!LookupStrCode(v.AsStr(), &code)) return uint64_t{0};
-      key = code;
-      break;
-    }
-    case TailType::kOid:
-      key = v.AsOid();
-      break;
-  }
+  if (!ProbeKey(v, &key)) return uint64_t{0};
   // Probe-only: serve a fresh index if one exists, else scan. Never builds,
   // so a gating probe leaves the acceleration state untouched.
   Accel* a = accel_.load(std::memory_order_acquire);
@@ -559,7 +482,7 @@ void Bat::Concat(const Bat& other) {
 }
 
 void Bat::Concat(const Bat& other, const ExecContext& ctx) {
-  trace::SpanGuard span = OpSpan(&ctx, "kernel.concat");
+  trace::SpanGuard span(ctx.trace, ctx.trace_parent, "kernel.concat");
   span.RowsIn(size() + other.size());
   Concat(other);
   span.RowsOut(size());
@@ -587,47 +510,29 @@ Value Bat::TailAt(size_t i) const {
   return Value();
 }
 
-namespace {
-
-/// Order-preserving merge of per-morsel operator outputs.
-Bat MergeParts(TailType type, const std::vector<Bat>& parts) {
-  size_t total = 0;
-  for (const Bat& p : parts) total += p.size();
-  Bat out(type);
-  out.Reserve(total);
-  for (const Bat& p : parts) out.Concat(p);
-  return out;
-}
-
-/// splitmix64 finalizer — deterministic partitioning hash for oids.
-uint64_t HashOid(Oid x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 // -- Selects ----------------------------------------------------------------
+//
+// The context forms of every operator live in operators.cc; what follows are
+// the serial reference forms, each with its own plain loop.
 
-Bat Bat::EmitEqHits(const std::vector<uint32_t>& hits, const Value& v) const {
+template <typename Pos>
+Bat Bat::EmitEqHits(const std::vector<Pos>& hits, const Value& v) const {
   Bat out(tail_type_);
   out.Reserve(hits.size());
   switch (tail_type_) {
     case TailType::kInt: {
       const int64_t want = v.AsInt();
-      for (uint32_t p : hits) out.AppendInt(head_[p], want);
+      for (Pos p : hits) out.AppendInt(head_[p], want);
       break;
     }
     case TailType::kFloat: {
       const double want = v.AsFloat();
-      for (uint32_t p : hits) out.AppendFloat(head_[p], want);
+      for (Pos p : hits) out.AppendFloat(head_[p], want);
       break;
     }
     case TailType::kStr: {
       const uint32_t code = out.InternStr(v.AsStr());
-      for (uint32_t p : hits) {
+      for (Pos p : hits) {
         out.head_.push_back(head_[p]);
         out.str_codes_.push_back(code);
       }
@@ -635,140 +540,31 @@ Bat Bat::EmitEqHits(const std::vector<uint32_t>& hits, const Value& v) const {
     }
     case TailType::kOid: {
       const Oid want = v.AsOid();
-      for (uint32_t p : hits) out.AppendOid(head_[p], want);
+      for (Pos p : hits) out.AppendOid(head_[p], want);
       break;
     }
   }
   return out;
 }
 
-Result<Bat> Bat::SelectEqImpl(const Value& v, const ExecContext* ctx,
-                              const char* op) const {
-  trace::SpanGuard span = OpSpan(ctx, op);
-  span.RowsIn(size());
+template Bat Bat::EmitEqHits(const std::vector<uint32_t>&, const Value&) const;
+template Bat Bat::EmitEqHits(const std::vector<size_t>&, const Value&) const;
+
+Result<Bat> Bat::SelectEq(const Value& v) const {
   if (v.type() != tail_type_) {
     return Status::InvalidArgument("SelectEq value type mismatch");
   }
-  // Resolve the canonical probe key; some probes provably match no row
-  // (string absent from the dictionary, NaN never compares equal).
   uint64_t key = 0;
-  uint32_t str_code = 0;
-  switch (tail_type_) {
-    case TailType::kInt:
-      key = std::bit_cast<uint64_t>(v.AsInt());
-      break;
-    case TailType::kFloat: {
-      double d = v.AsFloat();
-      if (d != d) return Bat(tail_type_);  // NaN matches nothing
-      if (d == 0.0) d = 0.0;
-      key = std::bit_cast<uint64_t>(d);
-      break;
-    }
-    case TailType::kStr:
-      if (!LookupStrCode(v.AsStr(), &str_code)) return Bat(tail_type_);
-      span.DictHits(1);
-      key = str_code;
-      break;
-    case TailType::kOid:
-      key = v.AsOid();
-      break;
+  if (!ProbeKey(v, &key)) return Bat(tail_type_);
+  if (auto idx = TailIndex(/*force=*/false)) {
+    auto it = idx->map.find(key);
+    return it == idx->map.end() ? Bat(tail_type_) : EmitEqHits(it->second, v);
   }
-  if (ctx == nullptr || ctx->auto_index) {
-    IndexProbeScope probe(span, *this, /*head=*/false);
-    if (auto idx = TailIndex(/*force=*/false)) {
-      probe.Record();
-      auto it = idx->map.find(key);
-      if (it == idx->map.end()) return Bat(tail_type_);
-      Bat out = EmitEqHits(it->second, v);
-      span.RowsOut(out.size());
-      return out;
-    }
+  std::vector<size_t> hits;
+  for (size_t i = 0; i < size(); ++i) {
+    if (TailKeyAt(i) == key) hits.push_back(i);
   }
-  if (ctx == nullptr || !ctx->UseParallel(size())) {
-    // Serial scan over the typed column (codes, never string bytes).
-    span.Morsels(1);
-    Bat out(tail_type_);
-    switch (tail_type_) {
-      case TailType::kInt: {
-        const int64_t want = v.AsInt();
-        for (size_t i = 0; i < size(); ++i) {
-          if (ints_[i] == want) out.AppendInt(head_[i], want);
-        }
-        break;
-      }
-      case TailType::kFloat: {
-        const double want = v.AsFloat();
-        for (size_t i = 0; i < size(); ++i) {
-          if (floats_[i] == want) out.AppendFloat(head_[i], want);
-        }
-        break;
-      }
-      case TailType::kStr: {
-        for (size_t i = 0; i < size(); ++i) {
-          if (str_codes_[i] == str_code) {
-            out.AppendRowFrom(head_[i], *this, i);
-          }
-        }
-        break;
-      }
-      case TailType::kOid: {
-        const Oid want = v.AsOid();
-        for (size_t i = 0; i < size(); ++i) {
-          if (oids_[i] == want) out.AppendOid(head_[i], want);
-        }
-        break;
-      }
-    }
-    span.RowsOut(out.size());
-    return out;
-  }
-  std::vector<Bat> parts(ctx->NumMorsels(size()), Bat(tail_type_));
-  ForEachMorsel(*ctx, size(), [&](size_t m, size_t begin, size_t end) {
-    Bat& out = parts[m];
-    switch (tail_type_) {
-      case TailType::kInt: {
-        const int64_t want = v.AsInt();
-        for (size_t i = begin; i < end; ++i) {
-          if (ints_[i] == want) out.AppendInt(head_[i], want);
-        }
-        break;
-      }
-      case TailType::kFloat: {
-        const double want = v.AsFloat();
-        for (size_t i = begin; i < end; ++i) {
-          if (floats_[i] == want) out.AppendFloat(head_[i], want);
-        }
-        break;
-      }
-      case TailType::kStr: {
-        for (size_t i = begin; i < end; ++i) {
-          if (str_codes_[i] == str_code) {
-            out.AppendRowFrom(head_[i], *this, i);
-          }
-        }
-        break;
-      }
-      case TailType::kOid: {
-        const Oid want = v.AsOid();
-        for (size_t i = begin; i < end; ++i) {
-          if (oids_[i] == want) out.AppendOid(head_[i], want);
-        }
-        break;
-      }
-    }
-  });
-  span.Morsels(parts.size());
-  Bat out = MergeParts(tail_type_, parts);
-  span.RowsOut(out.size());
-  return out;
-}
-
-Result<Bat> Bat::SelectEq(const Value& v) const {
-  return SelectEqImpl(v, nullptr, "kernel.select_eq");
-}
-
-Result<Bat> Bat::SelectEq(const Value& v, const ExecContext& ctx) const {
-  return SelectEqImpl(v, &ctx, "kernel.select_eq");
+  return EmitEqHits(hits, v);
 }
 
 Result<Bat> Bat::SelectRange(double lo, double hi) const {
@@ -780,49 +576,8 @@ Result<Bat> Bat::SelectRange(double lo, double hi) const {
     const double v =
         tail_type_ == TailType::kInt ? static_cast<double>(ints_[i])
                                      : floats_[i];
-    if (v >= lo && v <= hi) {
-      if (tail_type_ == TailType::kInt) {
-        out.AppendInt(head_[i], ints_[i]);
-      } else {
-        out.AppendFloat(head_[i], floats_[i]);
-      }
-    }
+    if (v >= lo && v <= hi) out.AppendRowFrom(head_[i], *this, i);
   }
-  return out;
-}
-
-Result<Bat> Bat::SelectRange(double lo, double hi,
-                             const ExecContext& ctx) const {
-  trace::SpanGuard span = OpSpan(&ctx, "kernel.select_range");
-  span.RowsIn(size());
-  if (tail_type_ != TailType::kInt && tail_type_ != TailType::kFloat) {
-    return Status::InvalidArgument("SelectRange requires a numeric tail");
-  }
-  if (!ctx.UseParallel(size())) {
-    COBRA_ASSIGN_OR_RETURN(Bat out, SelectRange(lo, hi));
-    span.Morsels(1);
-    span.RowsOut(out.size());
-    return out;
-  }
-  std::vector<Bat> parts(ctx.NumMorsels(size()), Bat(tail_type_));
-  ForEachMorsel(ctx, size(), [&](size_t m, size_t begin, size_t end) {
-    Bat& out = parts[m];
-    if (tail_type_ == TailType::kInt) {
-      for (size_t i = begin; i < end; ++i) {
-        const double v = static_cast<double>(ints_[i]);
-        if (v >= lo && v <= hi) out.AppendInt(head_[i], ints_[i]);
-      }
-    } else {
-      for (size_t i = begin; i < end; ++i) {
-        if (floats_[i] >= lo && floats_[i] <= hi) {
-          out.AppendFloat(head_[i], floats_[i]);
-        }
-      }
-    }
-  });
-  span.Morsels(parts.size());
-  Bat out = MergeParts(tail_type_, parts);
-  span.RowsOut(out.size());
   return out;
 }
 
@@ -830,14 +585,7 @@ Result<Bat> Bat::SelectStr(const std::string& s) const {
   if (tail_type_ != TailType::kStr) {
     return Status::InvalidArgument("SelectStr requires a str tail");
   }
-  return SelectEqImpl(Value::Str(s), nullptr, "kernel.select_str");
-}
-
-Result<Bat> Bat::SelectStr(const std::string& s, const ExecContext& ctx) const {
-  if (tail_type_ != TailType::kStr) {
-    return Status::InvalidArgument("SelectStr requires a str tail");
-  }
-  return SelectEqImpl(Value::Str(s), &ctx, "kernel.select_str");
+  return SelectEq(Value::Str(s));
 }
 
 Result<Bat> Bat::Reverse() const {
@@ -877,46 +625,8 @@ Result<double> Bat::Sum() const {
   return acc;
 }
 
-Result<double> Bat::Sum(const ExecContext& ctx) const {
-  trace::SpanGuard span = OpSpan(&ctx, "kernel.sum");
-  span.RowsIn(size());
-  if (tail_type_ != TailType::kInt && tail_type_ != TailType::kFloat) {
-    return Status::InvalidArgument("Sum requires a numeric tail");
-  }
-  // Always reduce per fixed-size morsel, even on the serial path: the
-  // morsel boundaries depend only on ctx.morsel_rows, so the rounding of
-  // the combined float sum is identical at every threadcnt.
-  const size_t num = ctx.NumMorsels(size());
-  std::vector<double> partial(num, 0.0);
-  ForEachMorsel(ctx, size(), [&](size_t m, size_t begin, size_t end) {
-    double acc = 0.0;
-    if (tail_type_ == TailType::kInt) {
-      for (size_t i = begin; i < end; ++i) acc += static_cast<double>(ints_[i]);
-    } else {
-      for (size_t i = begin; i < end; ++i) acc += floats_[i];
-    }
-    partial[m] = acc;
-  });
-  double acc = 0.0;
-  for (double p : partial) acc += p;
-  span.Morsels(num);
-  span.RowsOut(1);
-  return acc;
-}
-
 Result<double> Bat::Max() const {
   COBRA_ASSIGN_OR_RETURN(size_t pos, ArgMax());
-  return tail_type_ == TailType::kInt ? static_cast<double>(ints_[pos])
-                                      : floats_[pos];
-}
-
-Result<double> Bat::Max(const ExecContext& ctx) const {
-  trace::SpanGuard span = OpSpan(&ctx, "kernel.max");
-  span.RowsIn(size());
-  // Delegates to ArgMax; nest its span so the delegation shows in profiles.
-  COBRA_ASSIGN_OR_RETURN(size_t pos,
-                         ArgMax(ctx.WithTraceParent(span.span())));
-  span.RowsOut(1);
   return tail_type_ == TailType::kInt ? static_cast<double>(ints_[pos])
                                       : floats_[pos];
 }
@@ -934,36 +644,6 @@ Result<double> Bat::Min() const {
                          : floats_[i];
     if (BetterMin(v, best)) best = v;
   }
-  return best;
-}
-
-Result<double> Bat::Min(const ExecContext& ctx) const {
-  trace::SpanGuard span = OpSpan(&ctx, "kernel.min");
-  span.RowsIn(size());
-  if (empty()) return Status::FailedPrecondition("Min of empty BAT");
-  if (tail_type_ != TailType::kInt && tail_type_ != TailType::kFloat) {
-    return Status::InvalidArgument("Min requires a numeric tail");
-  }
-  const size_t num = ctx.NumMorsels(size());
-  std::vector<double> partial(num, 0.0);
-  ForEachMorsel(ctx, size(), [&](size_t m, size_t begin, size_t end) {
-    double best = tail_type_ == TailType::kInt
-                      ? static_cast<double>(ints_[begin])
-                      : floats_[begin];
-    for (size_t i = begin + 1; i < end; ++i) {
-      const double v = tail_type_ == TailType::kInt
-                           ? static_cast<double>(ints_[i])
-                           : floats_[i];
-      if (BetterMin(v, best)) best = v;
-    }
-    partial[m] = best;
-  });
-  double best = partial[0];
-  for (size_t m = 1; m < num; ++m) {
-    if (BetterMin(partial[m], best)) best = partial[m];
-  }
-  span.Morsels(num);
-  span.RowsOut(1);
   return best;
 }
 
@@ -987,59 +667,25 @@ Result<size_t> Bat::ArgMax() const {
   return best;
 }
 
-Result<size_t> Bat::ArgMax(const ExecContext& ctx) const {
-  trace::SpanGuard span = OpSpan(&ctx, "kernel.arg_max");
-  span.RowsIn(size());
-  if (empty()) return Status::FailedPrecondition("ArgMax of empty BAT");
-  if (tail_type_ != TailType::kInt && tail_type_ != TailType::kFloat) {
-    return Status::InvalidArgument("ArgMax requires a numeric tail");
-  }
-  const size_t num = ctx.NumMorsels(size());
-  std::vector<size_t> best_pos(num, 0);
-  std::vector<double> best_val(num, 0.0);
-  ForEachMorsel(ctx, size(), [&](size_t m, size_t begin, size_t end) {
-    size_t best = begin;
-    double bv = tail_type_ == TailType::kInt
-                    ? static_cast<double>(ints_[begin])
-                    : floats_[begin];
-    for (size_t i = begin + 1; i < end; ++i) {
-      const double v = tail_type_ == TailType::kInt
-                           ? static_cast<double>(ints_[i])
-                           : floats_[i];
-      if (BetterMax(v, bv)) {
-        bv = v;
-        best = i;
-      }
-    }
-    best_pos[m] = best;
-    best_val[m] = bv;
-  });
-  // Combine strictly-better in morsel order: resolves ties to the lowest
-  // position, matching the serial scan.
-  size_t best = best_pos[0];
-  double bv = best_val[0];
-  for (size_t m = 1; m < num; ++m) {
-    if (BetterMax(best_val[m], bv)) {
-      bv = best_val[m];
-      best = best_pos[m];
-    }
-  }
-  span.Morsels(num);
-  span.RowsOut(1);
-  return best;
-}
-
 // -- Binary operators -------------------------------------------------------
 
-namespace {
-
-/// Pre-index scan join with a throwaway build table — the fallback for
-/// build sides past uint32 positions and the ctx.auto_index=false baseline.
-Result<Bat> JoinScan(const Bat& a, const Bat& b) {
+Result<Bat> Join(const Bat& a, const Bat& b) {
+  if (a.tail_type() != TailType::kOid) {
+    return Status::InvalidArgument("Join needs an oid tail on the left BAT");
+  }
+  Bat out(b.tail_type());
+  if (auto idx = b.HeadIndex(/*force=*/true)) {
+    for (size_t i = 0; i < a.size(); ++i) {
+      auto it = idx->map.find(a.OidAt(i));
+      if (it == idx->map.end()) continue;
+      for (uint32_t j : it->second) out.AppendRowFrom(a.HeadAt(i), b, j);
+    }
+    return out;
+  }
+  // Past uint32 positions no index is kept: a throwaway build table.
   std::unordered_map<Oid, std::vector<size_t>> table;
   table.reserve(b.size());
   for (size_t j = 0; j < b.size(); ++j) table[b.HeadAt(j)].push_back(j);
-  Bat out(b.tail_type());
   for (size_t i = 0; i < a.size(); ++i) {
     auto it = table.find(a.OidAt(i));
     if (it == table.end()) continue;
@@ -1048,206 +694,29 @@ Result<Bat> JoinScan(const Bat& a, const Bat& b) {
   return out;
 }
 
-/// The pre-index partitioned parallel join plan, kept as the
-/// ctx.auto_index=false path: build side hash-partitioned, partition tables
-/// built in parallel, probe morsels merged in morsel order.
-Result<Bat> JoinPartitioned(const Bat& a, const Bat& b,
-                            const ExecContext& ctx) {
-  if ((!ctx.UseParallel(a.size()) && !ctx.UseParallel(b.size())) ||
-      b.size() > std::numeric_limits<uint32_t>::max()) {
-    return JoinScan(a, b);
-  }
-  size_t num_partitions = 1;
-  while (num_partitions < static_cast<size_t>(ctx.threadcnt) * 4) {
-    num_partitions <<= 1;
-  }
-  const size_t bnum = ctx.NumMorsels(b.size());
-  std::vector<std::vector<std::vector<uint32_t>>> buckets(
-      bnum, std::vector<std::vector<uint32_t>>(num_partitions));
-  ForEachMorsel(ctx, b.size(), [&](size_t m, size_t begin, size_t end) {
-    for (size_t j = begin; j < end; ++j) {
-      buckets[m][HashOid(b.HeadAt(j)) & (num_partitions - 1)].push_back(
-          static_cast<uint32_t>(j));
-    }
-  });
-  std::vector<std::unordered_map<Oid, std::vector<uint32_t>>> tables(
-      num_partitions);
-  ParallelForEach(ctx, num_partitions, [&](size_t p) {
-    auto& table = tables[p];
-    for (size_t m = 0; m < bnum; ++m) {
-      for (uint32_t j : buckets[m][p]) table[b.HeadAt(j)].push_back(j);
-    }
-  });
-  std::vector<Bat> parts(ctx.NumMorsels(a.size()), Bat(b.tail_type()));
-  ForEachMorsel(ctx, a.size(), [&](size_t m, size_t begin, size_t end) {
-    Bat& out = parts[m];
-    for (size_t i = begin; i < end; ++i) {
-      const Oid t = a.OidAt(i);
-      const auto& table = tables[HashOid(t) & (num_partitions - 1)];
-      auto it = table.find(t);
-      if (it == table.end()) continue;
-      for (uint32_t j : it->second) out.AppendRowFrom(a.HeadAt(i), b, j);
-    }
-  });
-  return MergeParts(b.tail_type(), parts);
-}
+namespace {
 
-/// Serial probe of `b`'s persistent head index over all of `a`.
-Bat JoinProbeSerial(const Bat& a, const Bat& b, const Bat::HashIndex& idx) {
-  Bat out(b.tail_type());
+/// Reference body of Semijoin/Diff: keeps rows of `a` whose head membership
+/// among `b`'s heads equals `keep_present`.
+Bat FilterByHead(const Bat& a, const Bat& b, bool keep_present) {
+  const std::unordered_set<Oid> heads(b.heads().begin(), b.heads().end());
+  Bat out(a.tail_type());
   for (size_t i = 0; i < a.size(); ++i) {
-    auto it = idx.map.find(a.OidAt(i));
-    if (it == idx.map.end()) continue;
-    for (uint32_t j : it->second) out.AppendRowFrom(a.HeadAt(i), b, j);
-  }
-  return out;
-}
-
-std::unordered_set<Oid> HeadSet(const Bat& b) {
-  std::unordered_set<Oid> heads;
-  heads.reserve(b.size());
-  for (size_t j = 0; j < b.size(); ++j) heads.insert(b.HeadAt(j));
-  return heads;
-}
-
-/// Shared body of Semijoin/Diff: keeps rows of `a` whose head membership in
-/// `contains` equals `keep_present`. Morsel-parallel with ordered merge
-/// when a context past the cutoff is given.
-template <typename Contains>
-Bat FilterByHead(const Bat& a, const ExecContext* ctx, bool keep_present,
-                 const Contains& contains) {
-  if (ctx == nullptr || !ctx->UseParallel(a.size())) {
-    Bat out(a.tail_type());
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (contains(a.HeadAt(i)) == keep_present) {
-        out.AppendRowFrom(a.HeadAt(i), a, i);
-      }
-    }
-    return out;
-  }
-  std::vector<Bat> parts(ctx->NumMorsels(a.size()), Bat(a.tail_type()));
-  ForEachMorsel(*ctx, a.size(), [&](size_t m, size_t begin, size_t end) {
-    Bat& out = parts[m];
-    for (size_t i = begin; i < end; ++i) {
-      if (contains(a.HeadAt(i)) == keep_present) {
-        out.AppendRowFrom(a.HeadAt(i), a, i);
-      }
-    }
-  });
-  return MergeParts(a.tail_type(), parts);
-}
-
-Bat FilterByHeadOf(const Bat& a, const Bat& b, const ExecContext* ctx,
-                   bool keep_present, const char* op) {
-  trace::SpanGuard span = OpSpan(ctx, op);
-  span.RowsIn(a.size() + b.size());
-  if (span.enabled()) {
-    span.Detail(StrFormat("left=%zu right=%zu", a.size(), b.size()));
-    span.Morsels(ctx != nullptr && ctx->UseParallel(a.size())
-                     ? ctx->NumMorsels(a.size())
-                     : 1);
-  }
-  const bool use_index = ctx == nullptr || ctx->auto_index;
-  if (use_index) {
-    IndexProbeScope probe(span, b, /*head=*/true);
-    if (auto idx = b.HeadIndex(/*force=*/true)) {
-      probe.Record();
-      Bat out = FilterByHead(a, ctx, keep_present, [&idx](Oid h) {
-        return idx->map.count(h) != 0;
-      });
-      span.RowsOut(out.size());
-      return out;
+    if ((heads.count(a.HeadAt(i)) != 0) == keep_present) {
+      out.AppendRowFrom(a.HeadAt(i), a, i);
     }
   }
-  const std::unordered_set<Oid> heads = HeadSet(b);
-  Bat out = FilterByHead(a, ctx, keep_present, [&heads](Oid h) {
-    return heads.count(h) != 0;
-  });
-  span.RowsOut(out.size());
   return out;
 }
 
 }  // namespace
 
-Result<Bat> Join(const Bat& a, const Bat& b) {
-  if (a.tail_type() != TailType::kOid) {
-    return Status::InvalidArgument("Join needs an oid tail on the left BAT");
-  }
-  auto idx = b.HeadIndex(/*force=*/true);
-  if (idx == nullptr) return JoinScan(a, b);
-  return JoinProbeSerial(a, b, *idx);
-}
-
-Result<Bat> Join(const Bat& a, const Bat& b, const ExecContext& ctx) {
-  trace::SpanGuard span = OpSpan(&ctx, "kernel.join");
-  span.RowsIn(a.size() + b.size());
-  if (span.enabled()) {
-    span.Detail(StrFormat("probe=%zu build=%zu", a.size(), b.size()));
-  }
-  if (a.tail_type() != TailType::kOid) {
-    return Status::InvalidArgument("Join needs an oid tail on the left BAT");
-  }
-  if (!ctx.auto_index) {
-    COBRA_ASSIGN_OR_RETURN(Bat out, JoinPartitioned(a, b, ctx));
-    if (span.enabled()) {
-      span.Detail(StrFormat("probe=%zu build=%zu plan=partitioned", a.size(),
-                            b.size()));
-    }
-    span.RowsOut(out.size());
-    return out;
-  }
-  IndexProbeScope probe(span, b, /*head=*/true);
-  auto idx = b.HeadIndex(/*force=*/true);
-  probe.Record();
-  if (idx == nullptr) {
-    COBRA_ASSIGN_OR_RETURN(Bat out, JoinScan(a, b));
-    if (span.enabled()) {
-      span.Detail(
-          StrFormat("probe=%zu build=%zu plan=scan", a.size(), b.size()));
-    }
-    span.RowsOut(out.size());
-    return out;
-  }
-  if (span.enabled()) {
-    span.Detail(StrFormat("probe=%zu build=%zu plan=index_probe", a.size(),
-                          b.size()));
-  }
-  if (!ctx.UseParallel(a.size())) {
-    Bat out = JoinProbeSerial(a, b, *idx);
-    span.Morsels(1);
-    span.RowsOut(out.size());
-    return out;
-  }
-  std::vector<Bat> parts(ctx.NumMorsels(a.size()), Bat(b.tail_type()));
-  ForEachMorsel(ctx, a.size(), [&](size_t m, size_t begin, size_t end) {
-    Bat& out = parts[m];
-    for (size_t i = begin; i < end; ++i) {
-      auto it = idx->map.find(a.OidAt(i));
-      if (it == idx->map.end()) continue;
-      for (uint32_t j : it->second) out.AppendRowFrom(a.HeadAt(i), b, j);
-    }
-  });
-  span.Morsels(parts.size());
-  Bat out = MergeParts(b.tail_type(), parts);
-  span.RowsOut(out.size());
-  return out;
-}
-
 Bat Semijoin(const Bat& a, const Bat& b) {
-  return FilterByHeadOf(a, b, nullptr, /*keep_present=*/true,
-                        "kernel.semijoin");
-}
-
-Bat Semijoin(const Bat& a, const Bat& b, const ExecContext& ctx) {
-  return FilterByHeadOf(a, b, &ctx, /*keep_present=*/true, "kernel.semijoin");
+  return FilterByHead(a, b, /*keep_present=*/true);
 }
 
 Bat Diff(const Bat& a, const Bat& b) {
-  return FilterByHeadOf(a, b, nullptr, /*keep_present=*/false, "kernel.diff");
-}
-
-Bat Diff(const Bat& a, const Bat& b, const ExecContext& ctx) {
-  return FilterByHeadOf(a, b, &ctx, /*keep_present=*/false, "kernel.diff");
+  return FilterByHead(a, b, /*keep_present=*/false);
 }
 
 Bat Group(const Bat& a, std::vector<size_t>* representatives) {
@@ -1266,71 +735,5 @@ Bat Group(const Bat& a, std::vector<size_t>* representatives) {
   return out;
 }
 
-Bat Group(const Bat& a, std::vector<size_t>* representatives,
-          const ExecContext& ctx) {
-  trace::SpanGuard span = OpSpan(&ctx, "kernel.group");
-  span.RowsIn(a.size());
-  // Grouping a string tail resolves every row through the dictionary codes.
-  if (a.tail_type() == TailType::kStr) span.DictHits(a.size());
-  if (!ctx.UseParallel(a.size())) {
-    Bat out = Group(a, representatives);
-    span.Morsels(1);
-    span.RowsOut(out.size());
-    return out;
-  }
-  const size_t num = ctx.NumMorsels(a.size());
-  // Phase 1 (parallel): per-morsel tables in local first-occurrence order,
-  // keyed by the canonical 64-bit tail key (dictionary code for strings).
-  struct LocalTable {
-    std::unordered_map<uint64_t, uint32_t> ids;
-    std::vector<uint64_t> keys;      // local first-occurrence order
-    std::vector<size_t> first_pos;   // global position of first occurrence
-    std::vector<uint32_t> row_ids;   // local id per row of the morsel
-  };
-  std::vector<LocalTable> locals(num);
-  ForEachMorsel(ctx, a.size(), [&](size_t m, size_t begin, size_t end) {
-    LocalTable& t = locals[m];
-    t.row_ids.reserve(end - begin);
-    for (size_t i = begin; i < end; ++i) {
-      const uint64_t key = a.TailKeyAt(i);
-      auto [it, inserted] =
-          t.ids.try_emplace(key, static_cast<uint32_t>(t.keys.size()));
-      if (inserted) {
-        t.keys.push_back(key);
-        t.first_pos.push_back(i);
-      }
-      t.row_ids.push_back(it->second);
-    }
-  });
-  // Phase 2 (serial, morsel order): assign global dense ids. A key's global
-  // id is fixed by the first morsel that saw it, so the numbering equals the
-  // serial scan's first-occurrence order.
-  std::unordered_map<uint64_t, Oid> global;
-  if (representatives != nullptr) representatives->clear();
-  std::vector<std::vector<Oid>> local_to_global(num);
-  for (size_t m = 0; m < num; ++m) {
-    local_to_global[m].reserve(locals[m].keys.size());
-    for (size_t k = 0; k < locals[m].keys.size(); ++k) {
-      auto [it, inserted] = global.try_emplace(
-          locals[m].keys[k], static_cast<Oid>(global.size()));
-      if (inserted && representatives != nullptr) {
-        representatives->push_back(locals[m].first_pos[k]);
-      }
-      local_to_global[m].push_back(it->second);
-    }
-  }
-  // Phase 3 (parallel): re-map rows through the global table.
-  std::vector<Oid> gids(a.size());
-  ForEachMorsel(ctx, a.size(), [&](size_t m, size_t begin, size_t end) {
-    const LocalTable& t = locals[m];
-    for (size_t i = begin; i < end; ++i) {
-      gids[i] = local_to_global[m][t.row_ids[i - begin]];
-    }
-  });
-  span.Morsels(num);
-  Bat out = Bat::FromOidColumns(a.heads(), std::move(gids));
-  span.RowsOut(out.size());
-  return out;
-}
-
 }  // namespace cobra::kernel
+

@@ -2,6 +2,8 @@
 #define COBRA_KERNEL_BAT_H_
 
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -228,16 +230,44 @@ class Bat {
 
   /// Canonical 64-bit key of the tail at `i` (dictionary code for strings,
   /// bit pattern for numerics with -0.0 normalized to 0.0).
-  uint64_t TailKeyAt(size_t i) const;
+  uint64_t TailKeyAt(size_t i) const {
+    switch (tail_type_) {
+      case TailType::kInt:
+        return std::bit_cast<uint64_t>(ints_[i]);
+      case TailType::kFloat:
+        return FloatKey(floats_[i]);
+      case TailType::kStr:
+        return str_codes_[i];
+      case TailType::kOid:
+        return oids_[i];
+    }
+    return 0;
+  }
+
+  /// The key of probe value `v` (which must have this BAT's tail type) in
+  /// TailKeyAt's encoding; false when `v` provably matches no row — a NaN,
+  /// or a string absent from the dictionary.
+  bool ProbeKey(const Value& v, uint64_t* key) const;
+
+  /// The select-equal output for ascending hit positions: (head, v) per
+  /// hit. Emits the probe value, not the row's, so a -0.0 row hit by a 0.0
+  /// probe reads back as 0.0 on every path. Defined for uint32_t (index)
+  /// and size_t (scan) positions.
+  template <typename Pos>
+  Bat EmitEqHits(const std::vector<Pos>& hits, const Value& v) const;
 
   // -- MIL-style unary operators ------------------------------------------
   //
   // Each hot operator has a serial form and an ExecContext form. The
-  // context form runs morsel-parallel on the shared kernel pool when
-  // ctx.UseParallel(size()) holds, and is equivalence-tested to produce
-  // byte-identical output (values and order) at every threadcnt. Equality
-  // selects probe the persistent tail index when the policy allows
-  // (ctx.auto_index gates it on the context forms). When the context
+  // serial forms are the differential harness's reference: each keeps its
+  // own plain loop. The context forms are defined once, in operators.cc,
+  // as a {partial over a row range, ordered combine} pair: this BAT is a
+  // single piece whose partials run morsel-parallel on the shared kernel
+  // pool when ctx.UseParallel(size()) holds (kernel/shard.h runs the same
+  // definitions over N shard pieces). They are equivalence-tested to
+  // produce byte-identical output (values and order) at every threadcnt.
+  // Equality selects probe the persistent tail index when the policy
+  // allows (ctx.auto_index gates it on the context forms). When the context
   // carries a trace sink (ctx.trace), the context forms record a
   // trace::Span — rows in/out, morsel count, index probe/build/invalidation
   // events, dictionary hits — and are strict no-ops on that path otherwise.
@@ -283,21 +313,16 @@ class Bat {
  private:
   struct Accel;
 
+  /// Float key: -0.0 folds into +0.0 (they compare equal).
+  static uint64_t FloatKey(double d) {
+    return std::bit_cast<uint64_t>(d == 0.0 ? 0.0 : d);
+  }
+
   /// Lazily-created shared acceleration state (atomic CAS publication, so
   /// concurrent const probes race safely on first touch).
   Accel& accel() const;
-  /// Common select-equal body; `ctx` may be null (serial form). `op` names
-  /// the span recorded when the context carries a trace sink.
-  Result<Bat> SelectEqImpl(const Value& v, const ExecContext* ctx,
-                           const char* op) const;
   /// Interns `v`, returning its dictionary code.
   uint32_t InternStr(std::string v);
-  /// Looks up a string's code without interning; false when absent (the
-  /// string provably matches no row).
-  bool LookupStrCode(const std::string& s, uint32_t* code) const;
-  /// Emits (head, probe value) for every position in `hits` (ascending) —
-  /// the indexed SelectEq/SelectStr output, byte-identical to the scan.
-  Bat EmitEqHits(const std::vector<uint32_t>& hits, const Value& v) const;
   void Bump() { ++version_; }
   /// Post-append hook: rows [old_rows, size()) were just appended. In
   /// maintenance mode extends existing indexes in place (MaintainAppendSlow);
@@ -330,6 +355,19 @@ class Bat {
   mutable std::atomic<Accel*> accel_{nullptr};
 };
 
+/// The aggregates' NaN-skipping winner rules: the candidate replaces the
+/// best when strictly better, or when the best so far is NaN and the
+/// candidate is not. NaN tails therefore never win unless every tail is
+/// NaN. Leftmost-winner selection under these rules is associative, so a
+/// scan cut into ranges at any boundaries combines to the serial answer (a
+/// plain `v > best` poisons whichever range happens to start on a NaN).
+inline bool BetterMax(double v, double best) {
+  return std::isnan(best) ? !std::isnan(v) : v > best;
+}
+inline bool BetterMin(double v, double best) {
+  return std::isnan(best) ? !std::isnan(v) : v < best;
+}
+
 // -- Binary operators -------------------------------------------------------
 
 /// join(a, b): for every (h, t) in `a` with oid tail and (t, v) in `b`,
@@ -340,9 +378,8 @@ Result<Bat> Join(const Bat& a, const Bat& b);
 
 /// Parallel join with the same output as the serial form: probe morsels
 /// over `a` run in parallel against the shared head index and the
-/// per-morsel outputs merge in morsel order. With ctx.auto_index false the
-/// pre-index partitioned build/probe plan runs instead (no state is left
-/// on `b`).
+/// per-morsel outputs merge in morsel order. With ctx.auto_index false a
+/// throwaway head table is built instead (no state is left on `b`).
 Result<Bat> Join(const Bat& a, const Bat& b, const ExecContext& ctx);
 
 /// semijoin(a, b): pairs of `a` whose head occurs as a head in `b`.
@@ -362,8 +399,9 @@ Bat Group(const Bat& a, std::vector<size_t>* representatives);
 
 /// Parallel group with identical output: per-morsel local tables are built
 /// in parallel, merged serially in morsel order into the global dense-id
-/// table (preserving first-occurrence numbering), then rows are re-mapped in
-/// parallel.
+/// table (preserving first-occurrence numbering; the merge keys a string
+/// group by its string, once per group and morsel), then rows are
+/// re-mapped in parallel.
 Bat Group(const Bat& a, std::vector<size_t>* representatives,
           const ExecContext& ctx);
 

@@ -2,8 +2,10 @@
 
 #include <cctype>
 #include <cstdlib>
-#include <functional>
 #include <cmath>
+#include <functional>
+#include <optional>
+#include <type_traits>
 
 #include "base/strings.h"
 #include "kernel/mil_lexer.h"
@@ -19,6 +21,14 @@ Result<double> AsNumber(const MilValue& v, const char* context) {
   if (const double* d = std::get_if<double>(&v)) return *d;
   return Status::InvalidArgument(std::string("expected a number for ") +
                                  context);
+}
+
+/// A script number cast to integer type T (see MilIntegerRange).
+template <typename T>
+Result<T> AsInteger(const MilValue& v, const char* context) {
+  COBRA_ASSIGN_OR_RETURN(double d, AsNumber(v, context));
+  COBRA_RETURN_IF_ERROR(MilIntegerRange(d, std::is_signed_v<T>, context));
+  return static_cast<T>(d);
 }
 
 Result<const Bat*> AsBat(const MilValue& v, const char* context) {
@@ -44,6 +54,29 @@ std::string ValueToString(const MilValue& v) {
   out += "}";
   return out;
 }
+
+/// An operand as the kernel operators' piece list: the BAT itself (one
+/// piece) unsharded, or under shards(n > 1) its partition on the context's
+/// morsel grid (so even Sum's float fold is byte-identical).
+class Operand {
+ public:
+  Operand(const Bat& bat, const ExecContext& exec) {
+    if (exec.shards > 1) {
+      part_.emplace(bat, static_cast<size_t>(exec.shards), exec.MorselRows());
+      view_ = part_->View();
+    } else {
+      view_ = ShardedBat::Whole(bat);
+    }
+  }
+  Operand(const Operand&) = delete;
+  Operand& operator=(const Operand&) = delete;
+
+  const ShardedBat& view() const { return view_; }
+
+ private:
+  std::optional<PartitionedBat> part_;
+  ShardedBat view_;
+};
 
 }  // namespace
 
@@ -98,18 +131,10 @@ Result<std::string> MilSession::Execute(const std::string& script) {
   MilLexer lexer(script);
   std::string output;
 
-  // Sharded operator routing: with shards(n) > 1 in effect, the operand is
-  // partitioned on the context's morsel grid (so even Sum's float fold is
-  // byte-identical) and the exchange operators scatter/merge it.
-  const auto exchange_opts = [this]() {
-    ExchangeOptions opts;
-    opts.unsafe_unordered_merge = unsafe_unordered_merge_;
-    return opts;
-  };
-  const auto partitioned = [this](const Bat& bat) {
-    return PartitionedBat(bat, static_cast<size_t>(exec_.shards),
-                          exec_.MorselRows());
-  };
+  // Every kernel operator runs through its piece-list form on an Operand:
+  // one piece unsharded, the shards(n) partition otherwise.
+  ExchangeOptions opts;
+  opts.unsafe_unordered_merge = unsafe_unordered_merge_;
   const auto find_fact = [&facts](const Token& name_tok) -> const PlanFact* {
     const auto it = facts.find(std::make_pair(name_tok.line, name_tok.col));
     return it == facts.end() ? nullptr : &it->second;
@@ -216,13 +241,14 @@ Result<std::string> MilSession::Execute(const std::string& script) {
     if (name == "insert") {
       COBRA_RETURN_IF_ERROR(arity(3));
       COBRA_ASSIGN_OR_RETURN(const Bat* bat, AsBat(args[0], "insert"));
-      COBRA_ASSIGN_OR_RETURN(double head, AsNumber(args[1], "insert head"));
+      COBRA_ASSIGN_OR_RETURN(Oid head, AsInteger<Oid>(args[1], "insert head"));
       Bat copy(*bat);
       Value tail;
       switch (copy.tail_type()) {
         case TailType::kInt: {
-          COBRA_ASSIGN_OR_RETURN(double v, AsNumber(args[2], "insert tail"));
-          tail = Value::Int(static_cast<int64_t>(v));
+          COBRA_ASSIGN_OR_RETURN(int64_t v,
+                                 AsInteger<int64_t>(args[2], "insert tail"));
+          tail = Value::Int(v);
           break;
         }
         case TailType::kFloat: {
@@ -239,12 +265,12 @@ Result<std::string> MilSession::Execute(const std::string& script) {
           break;
         }
         case TailType::kOid: {
-          COBRA_ASSIGN_OR_RETURN(double v, AsNumber(args[2], "insert tail"));
-          tail = Value::OfOid(static_cast<Oid>(v));
+          COBRA_ASSIGN_OR_RETURN(Oid v, AsInteger<Oid>(args[2], "insert tail"));
+          tail = Value::OfOid(v);
           break;
         }
       }
-      COBRA_RETURN_IF_ERROR(copy.Append(static_cast<Oid>(head), tail));
+      COBRA_RETURN_IF_ERROR(copy.Append(head, tail));
       return MilValue(std::move(copy));
     }
     if (name == "select") {
@@ -273,15 +299,9 @@ Result<std::string> MilSession::Execute(const std::string& script) {
           mspan.Detail("rewrite=provably_empty");
           return MilValue(Bat(TailType::kStr));
         }
-        if (exec_.shards > 1) {
-          const PartitionedBat part = partitioned(*bat);
-          COBRA_ASSIGN_OR_RETURN(
-              Bat selected,
-              ShardedSelectStr(part.View(), *s, sub, exchange_opts()));
-          mspan.RowsOut(selected.size());
-          return MilValue(std::move(selected));
-        }
-        COBRA_ASSIGN_OR_RETURN(Bat selected, bat->SelectStr(*s, sub));
+        COBRA_ASSIGN_OR_RETURN(
+            Bat selected,
+            ShardedSelectStr(Operand(*bat, exec_).view(), *s, sub, opts));
         mspan.RowsOut(selected.size());
         return MilValue(std::move(selected));
       }
@@ -297,49 +317,44 @@ Result<std::string> MilSession::Execute(const std::string& script) {
         mspan.Detail("rewrite=provably_empty");
         return MilValue(Bat(bat->tail_type()));
       }
-      if (exec_.shards > 1) {
-        const PartitionedBat part = partitioned(*bat);
-        // Provable-single-shard rewrite: every other slice's zone map
-        // misses [lo, hi], so the scatter-gather collapses to one serial
-        // kernel call over that slice. The fact's slice boundaries are
-        // revalidated against the runtime partition first, so an analysis
-        // computed on a different morsel grid merely fails to apply —
-        // never misapplies. Byte-identity holds because Slice preserves
-        // global heads and every matching row provably lives in slice k.
-        if (fact != nullptr && fact->single_shard >= 0 &&
-            !disable_static_rewrites_ && numeric_tail &&
-            fact->single_shard_of == static_cast<size_t>(exec_.shards)) {
-          const std::vector<ShardRange> ranges =
-              ShardRanges(bat->size(), static_cast<size_t>(exec_.shards),
-                          exec_.MorselRows());
-          const size_t k = static_cast<size_t>(fact->single_shard);
-          if (k < ranges.size() && ranges[k].begin == fact->shard_begin &&
-              ranges[k].end == fact->shard_end) {
-            if (mspan.enabled()) {
-              mspan.Detail(StrFormat("rewrite=single_shard k=%zu of %zu", k,
-                                     ranges.size()));
-            }
-            const Bat slice = bat->Slice(fact->shard_begin, fact->shard_end);
-            COBRA_ASSIGN_OR_RETURN(Bat selected,
-                                   slice.SelectRange(lo, hi, sub));
-            mspan.RowsOut(selected.size());
-            return MilValue(std::move(selected));
+      // Provable-single-shard rewrite: every other slice's zone map
+      // misses [lo, hi], so the scatter-gather collapses to one serial
+      // kernel call over that slice. The fact's slice boundaries are
+      // revalidated against the runtime partition first, so an analysis
+      // computed on a different morsel grid merely fails to apply —
+      // never misapplies. Byte-identity holds because Slice preserves
+      // global heads and every matching row provably lives in slice k.
+      if (exec_.shards > 1 && fact != nullptr && fact->single_shard >= 0 &&
+          !disable_static_rewrites_ && numeric_tail &&
+          fact->single_shard_of == static_cast<size_t>(exec_.shards)) {
+        const std::vector<ShardRange> ranges =
+            ShardRanges(bat->size(), static_cast<size_t>(exec_.shards),
+                        exec_.MorselRows());
+        const size_t k = static_cast<size_t>(fact->single_shard);
+        if (k < ranges.size() && ranges[k].begin == fact->shard_begin &&
+            ranges[k].end == fact->shard_end) {
+          if (mspan.enabled()) {
+            mspan.Detail(StrFormat("rewrite=single_shard k=%zu of %zu", k,
+                                   ranges.size()));
           }
+          const Bat slice = bat->Slice(fact->shard_begin, fact->shard_end);
+          COBRA_ASSIGN_OR_RETURN(Bat selected,
+                                 slice.SelectRange(lo, hi, sub));
+          mspan.RowsOut(selected.size());
+          return MilValue(std::move(selected));
         }
-        // Zone-map stats let the exchange prune shards that cannot match
-        // even when more than one shard survives analysis.
-        ExchangeOptions opts = exchange_opts();
-        std::vector<ShardStats> stats;
-        if (numeric_tail) {
-          stats = ComputeShardStats(part.View(), sub);
-          opts.scan_stats = &stats;
-        }
-        COBRA_ASSIGN_OR_RETURN(
-            Bat selected, ShardedSelectRange(part.View(), lo, hi, sub, opts));
-        mspan.RowsOut(selected.size());
-        return MilValue(std::move(selected));
       }
-      COBRA_ASSIGN_OR_RETURN(Bat selected, bat->SelectRange(lo, hi, sub));
+      // Zone-map stats let the exchange prune shards that cannot match even
+      // when more than one shard survives analysis.
+      const Operand src(*bat, exec_);
+      ExchangeOptions pruning = opts;
+      std::vector<ShardStats> stats;
+      if (numeric_tail && exec_.shards > 1) {
+        stats = ComputeShardStats(src.view(), sub);
+        pruning.scan_stats = &stats;
+      }
+      COBRA_ASSIGN_OR_RETURN(
+          Bat selected, ShardedSelectRange(src.view(), lo, hi, sub, pruning));
       mspan.RowsOut(selected.size());
       return MilValue(std::move(selected));
     }
@@ -376,25 +391,13 @@ Result<std::string> MilSession::Execute(const std::string& script) {
       mspan.RowsIn(a->size() + b->size());
       ExecContext sub = exec_;
       sub.trace_parent = mspan.span();
-      if (exec_.shards > 1) {
-        // Left operand sharded, right operand broadcast to every shard.
-        const PartitionedBat part = partitioned(*a);
-        Result<Bat> out =
-            name == "join"
-                ? ShardedJoin(part.View(), *b, sub, exchange_opts())
-            : name == "semijoin"
-                ? ShardedSemijoin(part.View(), *b, sub, exchange_opts())
-                : ShardedDiff(part.View(), *b, sub, exchange_opts());
-        COBRA_RETURN_IF_ERROR(out.status());
-        mspan.RowsOut(out.value().size());
-        return MilValue(std::move(out).value());
-      }
-      if (name == "join") {
-        COBRA_ASSIGN_OR_RETURN(Bat joined, Join(*a, *b, sub));
-        mspan.RowsOut(joined.size());
-        return MilValue(std::move(joined));
-      }
-      Bat out = name == "semijoin" ? Semijoin(*a, *b, sub) : Diff(*a, *b, sub);
+      // Left operand sharded, right operand broadcast to every shard.
+      const Operand src(*a, exec_);
+      const ShardedBat& left = src.view();
+      COBRA_ASSIGN_OR_RETURN(
+          Bat out, name == "join"       ? ShardedJoin(left, *b, sub, opts)
+                   : name == "semijoin" ? ShardedSemijoin(left, *b, sub, opts)
+                                        : ShardedDiff(left, *b, sub, opts));
       mspan.RowsOut(out.size());
       return MilValue(std::move(out));
     }
@@ -425,28 +428,16 @@ Result<std::string> MilSession::Execute(const std::string& script) {
       mspan.RowsIn(bat->size());
       ExecContext sub = exec_;
       sub.trace_parent = mspan.span();
-      if (exec_.shards > 1) {
-        const PartitionedBat part = partitioned(*bat);
-        COBRA_ASSIGN_OR_RETURN(
-            Bat ids,
-            ShardedGroup(part.View(), nullptr, sub, exchange_opts()));
-        mspan.RowsOut(ids.size());
-        return MilValue(std::move(ids));
-      }
-      Bat ids = Group(*bat, nullptr, sub);
+      COBRA_ASSIGN_OR_RETURN(Bat ids, ShardedGroup(Operand(*bat, exec_).view(),
+                                                   nullptr, sub, opts));
       mspan.RowsOut(ids.size());
       return MilValue(std::move(ids));
     }
     if (name == "argmax") {
       COBRA_RETURN_IF_ERROR(arity(1));
       COBRA_ASSIGN_OR_RETURN(const Bat* bat, AsBat(args[0], "argmax"));
-      if (exec_.shards > 1) {
-        const PartitionedBat part = partitioned(*bat);
-        COBRA_ASSIGN_OR_RETURN(
-            size_t pos, ShardedArgMax(part.View(), exec_, exchange_opts()));
-        return MilValue(static_cast<double>(pos));
-      }
-      COBRA_ASSIGN_OR_RETURN(size_t pos, bat->ArgMax(exec_));
+      COBRA_ASSIGN_OR_RETURN(
+          size_t pos, ShardedArgMax(Operand(*bat, exec_).view(), exec_, opts));
       return MilValue(static_cast<double>(pos));
     }
     if (name == "info") {
@@ -489,35 +480,20 @@ Result<std::string> MilSession::Execute(const std::string& script) {
     if (name == "slice") {
       COBRA_RETURN_IF_ERROR(arity(3));
       COBRA_ASSIGN_OR_RETURN(const Bat* bat, AsBat(args[0], "slice"));
-      COBRA_ASSIGN_OR_RETURN(double b, AsNumber(args[1], "slice begin"));
-      COBRA_ASSIGN_OR_RETURN(double e, AsNumber(args[2], "slice end"));
-      return MilValue(bat->Slice(static_cast<size_t>(b),
-                                 static_cast<size_t>(e)));
+      COBRA_ASSIGN_OR_RETURN(size_t b,
+                             AsInteger<size_t>(args[1], "slice begin"));
+      COBRA_ASSIGN_OR_RETURN(size_t e, AsInteger<size_t>(args[2], "slice end"));
+      return MilValue(bat->Slice(b, e));
     }
     if (name == "sum" || name == "max" || name == "min" || name == "count") {
       COBRA_RETURN_IF_ERROR(arity(1));
       COBRA_ASSIGN_OR_RETURN(const Bat* bat, AsBat(args[0], name.c_str()));
       if (name == "count") return MilValue(static_cast<double>(bat->Count()));
-      if (exec_.shards > 1) {
-        const PartitionedBat part = partitioned(*bat);
-        Result<double> v = name == "sum"
-                               ? ShardedSum(part.View(), exec_, exchange_opts())
-                           : name == "max"
-                               ? ShardedMax(part.View(), exec_, exchange_opts())
-                               : ShardedMin(part.View(), exec_,
-                                            exchange_opts());
-        COBRA_RETURN_IF_ERROR(v.status());
-        return MilValue(v.value());
-      }
-      if (name == "sum") {
-        COBRA_ASSIGN_OR_RETURN(double v, bat->Sum(exec_));
-        return MilValue(v);
-      }
-      if (name == "max") {
-        COBRA_ASSIGN_OR_RETURN(double v, bat->Max(exec_));
-        return MilValue(v);
-      }
-      COBRA_ASSIGN_OR_RETURN(double v, bat->Min(exec_));
+      const Operand src(*bat, exec_);
+      COBRA_ASSIGN_OR_RETURN(
+          double v, name == "sum"   ? ShardedSum(src.view(), exec_, opts)
+                    : name == "max" ? ShardedMax(src.view(), exec_, opts)
+                                    : ShardedMin(src.view(), exec_, opts));
       return MilValue(v);
     }
     return Status::InvalidArgument("unknown MIL function " + name);

@@ -688,6 +688,17 @@ class MilAnalyzer {
       }
       return true;
     };
+    // A known number the interpreter casts to an integer must be in range
+    // (MilIntegerRange), reported at the same argument.
+    auto require_integer = [&](size_t i, bool is_signed,
+                               const std::string& context) -> bool {
+      if (args[i].kind != SType::Kind::kNumber || !args[i].value_known) {
+        return true;
+      }
+      const Status range = MilIntegerRange(args[i].number, is_signed, context);
+      if (!range.ok()) Error(arg_toks[i], range.message());
+      return range.ok();
+    };
     auto definitely_not_string = [&](size_t i) -> bool {
       return args[i].kind == SType::Kind::kNumber ||
              args[i].kind == SType::Kind::kBat;
@@ -771,7 +782,10 @@ class MilAnalyzer {
     if (name == "insert") {
       if (!arity(3)) return std::nullopt;
       if (!require_bat(0, "insert")) return std::nullopt;
-      if (!require_number(1, "insert head")) return std::nullopt;
+      if (!require_number(1, "insert head") ||
+          !require_integer(1, /*is_signed=*/false, "insert head")) {
+        return std::nullopt;
+      }
       if (args[0].tail_known) {
         if (args[0].tail == TailType::kStr) {
           if (args[2].kind == SType::Kind::kNumber ||
@@ -782,6 +796,10 @@ class MilAnalyzer {
         } else if (args[2].kind == SType::Kind::kString ||
                    args[2].kind == SType::Kind::kBat) {
           Error(arg_toks[2], "expected a number for insert tail");
+          return std::nullopt;
+        } else if (args[0].tail != TailType::kFloat &&
+                   !require_integer(2, args[0].tail == TailType::kInt,
+                                    "insert tail")) {
           return std::nullopt;
         }
       }
@@ -1131,8 +1149,12 @@ class MilAnalyzer {
     if (name == "slice") {
       if (!arity(3)) return std::nullopt;
       if (!require_bat(0, "slice")) return std::nullopt;
-      if (!require_number(1, "slice begin")) return std::nullopt;
-      if (!require_number(2, "slice end")) return std::nullopt;
+      if (!require_number(1, "slice begin") ||
+          !require_integer(1, /*is_signed=*/false, "slice begin") ||
+          !require_number(2, "slice end") ||
+          !require_integer(2, /*is_signed=*/false, "slice end")) {
+        return std::nullopt;
+      }
       SType out = args[0];
       out.kind = SType::Kind::kBat;
       out.concrete = nullptr;

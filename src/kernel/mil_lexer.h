@@ -6,8 +6,27 @@
 #include <string>
 
 #include "base/status.h"
+#include "base/strings.h"
 
 namespace cobra::kernel {
+
+/// Range check for a script number the interpreter casts to an integer (a
+/// slice position, an insert head or oid tail — unsigned — or an int tail —
+/// signed): a NaN, infinite or out-of-range double-to-integer cast is
+/// undefined behaviour, so such values are a typed InvalidArgument instead.
+/// Fractions truncate. Shared by the interpreter (mil.cc) and the analyzer
+/// (mil_analyzer.cc) so both report the same message.
+inline Status MilIntegerRange(double v, bool is_signed,
+                              const std::string& context) {
+  // 2^63 and 2^64 are exact doubles; NaN fails every comparison.
+  if (is_signed ? v >= -9223372036854775808.0 && v < 9223372036854775808.0
+                : v >= 0.0 && v < 18446744073709551616.0) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(
+      StrFormat("%s must be in [%s, 2^%d), got %g", context.c_str(),
+                is_signed ? "-2^63" : "0", is_signed ? 63 : 64, v));
+}
 
 /// One MIL token, carrying the 1-based source position of its first
 /// character so both the interpreter and the static analyzer can point

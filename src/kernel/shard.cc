@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "base/logging.h"
@@ -12,97 +10,6 @@
 #include "base/trace.h"
 
 namespace cobra::kernel {
-
-namespace {
-
-/// Opens an exchange-layer span; no sink installed records nothing.
-trace::SpanGuard ExchangeSpan(const ExecContext& ctx, const char* op) {
-  return trace::SpanGuard(ctx.trace, ctx.trace_parent, op);
-}
-
-/// The per-shard execution context of a scatter: the caller's worker budget
-/// divided across the shards (each shard's kernel call still morsel-splits
-/// internally), spans nested under the scatter span.
-ExecContext ShardContext(const ExecContext& ctx, size_t shards,
-                         ::cobra::trace::Span* scatter) {
-  ExecContext inner = ctx;
-  inner.threadcnt =
-      std::max(1, ctx.threadcnt / static_cast<int>(std::max<size_t>(1, shards)));
-  inner.trace_parent = scatter;
-  return inner;
-}
-
-/// Same NaN-skipping winner rules as the kernel aggregates (bat.cc): the
-/// candidate replaces the best when strictly better, or when the best so
-/// far is NaN and the candidate is not. Leftmost-winner selection under a
-/// total preorder is associative, which is what lets the exchange combine
-/// per-shard Min/Max/ArgMax results instead of per-morsel partials.
-bool BetterMax(double v, double best) {
-  return std::isnan(best) ? !std::isnan(v) : v > best;
-}
-bool BetterMin(double v, double best) {
-  return std::isnan(best) ? !std::isnan(v) : v < best;
-}
-
-/// Shard visit order of a merge: shard order, or reversed under the
-/// unsafe_unordered_merge test seam (a deterministic stand-in for a merge
-/// that takes shard outputs in completion order).
-std::vector<size_t> MergeOrder(size_t shards, const ExchangeOptions& opts) {
-  std::vector<size_t> order(shards);
-  for (size_t k = 0; k < shards; ++k) {
-    order[k] = opts.unsafe_unordered_merge ? shards - 1 - k : k;
-  }
-  return order;
-}
-
-/// Concatenates per-shard operator outputs in merge order under an
-/// `exchange.merge` span (dictionary codes remap through Bat::Concat).
-Bat MergeParts(TailType type, std::vector<Bat>& parts, const ExecContext& ctx,
-               const ExchangeOptions& opts) {
-  trace::SpanGuard span = ExchangeSpan(ctx, "exchange.merge");
-  size_t total = 0;
-  for (const Bat& p : parts) total += p.size();
-  span.RowsIn(total);
-  Bat out(type);
-  out.Reserve(total);
-  for (size_t k : MergeOrder(parts.size(), opts)) out.Concat(parts[k]);
-  span.RowsOut(out.size());
-  return out;
-}
-
-/// Scatter phase of a row-producing operator: one kernel call per shard
-/// slice, fanned out with ParallelForEach, outputs collected into per-shard
-/// slots. `per_shard` returns the slice's output (or the op's error, which
-/// the scatter re-reports; shards fail identically, so the first in shard
-/// order is deterministic).
-template <typename Fn>
-Result<std::vector<Bat>> Scatter(const ShardedBat& sb, TailType out_type,
-                                 const ExecContext& ctx, const char* detail,
-                                 Fn per_shard) {
-  trace::SpanGuard span = ExchangeSpan(ctx, "exchange.scatter");
-  span.RowsIn(sb.rows());
-  if (span.enabled()) {
-    span.Detail(StrFormat("shards=%zu%s", sb.num_shards(), detail));
-  }
-  const size_t n = sb.num_shards();
-  std::vector<Bat> parts(n, Bat(out_type));
-  std::vector<Status> errs(n);
-  const ExecContext inner = ShardContext(ctx, n, span.span());
-  ParallelForEach(ctx, n, [&](size_t k) {
-    Result<Bat> r = per_shard(k, *sb.slices[k], inner);
-    if (r.ok()) {
-      parts[k] = std::move(r).value();
-    } else {
-      errs[k] = r.status();
-    }
-  });
-  for (const Status& e : errs) {
-    if (!e.ok()) return e;
-  }
-  return parts;
-}
-
-}  // namespace
 
 // -- Partitioning -----------------------------------------------------------
 
@@ -128,6 +35,10 @@ size_t ShardedBat::rows() const {
   size_t total = 0;
   for (const Bat* s : slices) total += s->size();
   return total;
+}
+
+ShardedBat ShardedBat::Whole(const Bat& bat) {
+  return ShardedBat{{&bat}, {0}, bat.tail_type()};
 }
 
 bool ShardedBat::AlignedTo(size_t quantum) const {
@@ -158,7 +69,7 @@ ShardedBat PartitionedBat::View() const {
   return sb;
 }
 
-// -- Exchange operators -----------------------------------------------------
+// -- Zone maps and gather ---------------------------------------------------
 
 std::vector<ShardStats> ComputeShardStats(const ShardedBat& sb,
                                           const ExecContext& ctx) {
@@ -191,379 +102,13 @@ std::vector<ShardStats> ComputeShardStats(const ShardedBat& sb,
 }
 
 Bat GatherShards(const ShardedBat& sb, const ExecContext& ctx) {
-  trace::SpanGuard span = ExchangeSpan(ctx, "exchange.gather");
+  trace::SpanGuard span(ctx.trace, ctx.trace_parent, "exchange.gather");
   const size_t total = sb.rows();
   span.RowsIn(total);
   Bat out(sb.tail_type);
   out.Reserve(total);
   for (const Bat* s : sb.slices) out.Concat(*s);
   span.RowsOut(out.size());
-  return out;
-}
-
-Result<Bat> ShardedSelectEq(const ShardedBat& sb, const Value& v,
-                            const ExecContext& ctx,
-                            const ExchangeOptions& opts) {
-  if (v.type() != sb.tail_type) {
-    return Status::InvalidArgument("SelectEq value type mismatch");
-  }
-  COBRA_ASSIGN_OR_RETURN(
-      std::vector<Bat> parts,
-      Scatter(sb, sb.tail_type, ctx, " op=select_eq",
-              [&](size_t, const Bat& s, const ExecContext& inner) {
-                return s.SelectEq(v, inner);
-              }));
-  return MergeParts(sb.tail_type, parts, ctx, opts);
-}
-
-Result<Bat> ShardedSelectRange(const ShardedBat& sb, double lo, double hi,
-                               const ExecContext& ctx,
-                               const ExchangeOptions& opts) {
-  if (sb.tail_type != TailType::kInt && sb.tail_type != TailType::kFloat) {
-    return Status::InvalidArgument("SelectRange requires a numeric tail");
-  }
-  // Partition pruning: with fresh zone maps, a shard whose value interval
-  // provably misses [lo, hi] is never scanned — it would contribute zero
-  // rows, so skipping it leaves the merged output byte-identical. Stats at
-  // a stale version (or with a mismatched shard count) are ignored.
-  const std::vector<ShardStats>* stats = opts.scan_stats;
-  if (stats != nullptr && stats->size() == sb.num_shards()) {
-    for (size_t k = 0; k < sb.num_shards(); ++k) {
-      if ((*stats)[k].version != sb.slices[k]->version() ||
-          (*stats)[k].rows != sb.slices[k]->size()) {
-        stats = nullptr;
-        break;
-      }
-    }
-  } else {
-    stats = nullptr;
-  }
-  size_t pruned = 0;
-  std::vector<bool> skip(sb.num_shards(), false);
-  if (stats != nullptr) {
-    for (size_t k = 0; k < sb.num_shards(); ++k) {
-      const ShardStats& st = (*stats)[k];
-      // A NaN row never satisfies lo <= v <= hi, so an all-NaN (or empty)
-      // slice is always prunable; NaN bounds compare false and prune
-      // nothing (the scan correctly returns no rows).
-      if (!st.has_non_nan || st.max < lo || st.min > hi) {
-        skip[k] = true;
-        ++pruned;
-      }
-    }
-  }
-  const std::string detail = StrFormat(" op=select_range pruned=%zu", pruned);
-  COBRA_ASSIGN_OR_RETURN(
-      std::vector<Bat> parts,
-      Scatter(sb, sb.tail_type, ctx, detail.c_str(),
-              [&](size_t k, const Bat& s,
-                  const ExecContext& inner) -> Result<Bat> {
-                if (skip[k]) return Bat(s.tail_type());
-                return s.SelectRange(lo, hi, inner);
-              }));
-  return MergeParts(sb.tail_type, parts, ctx, opts);
-}
-
-Result<Bat> ShardedSelectStr(const ShardedBat& sb, const std::string& str,
-                             const ExecContext& ctx,
-                             const ExchangeOptions& opts) {
-  if (sb.tail_type != TailType::kStr) {
-    return Status::InvalidArgument("SelectStr requires a str tail");
-  }
-  COBRA_ASSIGN_OR_RETURN(
-      std::vector<Bat> parts,
-      Scatter(sb, sb.tail_type, ctx, " op=select_str",
-              [&](size_t, const Bat& s, const ExecContext& inner) {
-                return s.SelectStr(str, inner);
-              }));
-  return MergeParts(sb.tail_type, parts, ctx, opts);
-}
-
-Result<Bat> ShardedJoin(const ShardedBat& a, const Bat& b,
-                        const ExecContext& ctx, const ExchangeOptions& opts) {
-  if (a.tail_type != TailType::kOid) {
-    return Status::InvalidArgument("Join needs an oid tail on the left BAT");
-  }
-  COBRA_ASSIGN_OR_RETURN(
-      std::vector<Bat> parts,
-      Scatter(a, b.tail_type(), ctx, " op=join",
-              [&](size_t, const Bat& s, const ExecContext& inner) {
-                return Join(s, b, inner);
-              }));
-  return MergeParts(b.tail_type(), parts, ctx, opts);
-}
-
-Result<Bat> ShardedSemijoin(const ShardedBat& a, const Bat& b,
-                            const ExecContext& ctx,
-                            const ExchangeOptions& opts) {
-  COBRA_ASSIGN_OR_RETURN(
-      std::vector<Bat> parts,
-      Scatter(a, a.tail_type, ctx, " op=semijoin",
-              [&](size_t, const Bat& s,
-                  const ExecContext& inner) -> Result<Bat> {
-                return Semijoin(s, b, inner);
-              }));
-  return MergeParts(a.tail_type, parts, ctx, opts);
-}
-
-Result<Bat> ShardedDiff(const ShardedBat& a, const Bat& b,
-                        const ExecContext& ctx, const ExchangeOptions& opts) {
-  COBRA_ASSIGN_OR_RETURN(
-      std::vector<Bat> parts,
-      Scatter(a, a.tail_type, ctx, " op=diff",
-              [&](size_t, const Bat& s,
-                  const ExecContext& inner) -> Result<Bat> {
-                return Diff(s, b, inner);
-              }));
-  return MergeParts(a.tail_type, parts, ctx, opts);
-}
-
-Result<double> ShardedSum(const ShardedBat& sb, const ExecContext& ctx,
-                          const ExchangeOptions& opts) {
-  if (sb.tail_type != TailType::kInt && sb.tail_type != TailType::kFloat) {
-    return Status::InvalidArgument("Sum requires a numeric tail");
-  }
-  const size_t quantum = ctx.MorselRows();
-  const size_t total = sb.rows();
-  if (!sb.AlignedTo(quantum)) {
-    // Shard offsets off the context's morsel grid: refolding per-shard
-    // partials would reassociate the float additions. Gather and run the
-    // kernel fold instead — byte-identical, just not scatter-gather.
-    const Bat gathered = GatherShards(sb, ctx);
-    return gathered.Sum(ctx);
-  }
-  // Every shard offset sits on the global morsel grid, so the per-shard
-  // morsel partials ARE the single-BAT per-morsel partials; gather them and
-  // replay Bat::Sum(ctx)'s serial left fold in global morsel order.
-  const size_t num = ctx.NumMorsels(total);
-  std::vector<double> partial(num, 0.0);
-  {
-    trace::SpanGuard span = ExchangeSpan(ctx, "exchange.scatter");
-    span.RowsIn(total);
-    if (span.enabled()) {
-      span.Detail(StrFormat("shards=%zu op=sum", sb.num_shards()));
-    }
-    const ExecContext inner = ShardContext(ctx, sb.num_shards(), span.span());
-    ParallelForEach(ctx, sb.num_shards(), [&](size_t k) {
-      const Bat& s = *sb.slices[k];
-      const size_t base = sb.offsets[k] / quantum;
-      ForEachMorsel(inner, s.size(), [&](size_t m, size_t begin, size_t end) {
-        double acc = 0.0;
-        if (s.tail_type() == TailType::kInt) {
-          for (size_t i = begin; i < end; ++i) {
-            acc += static_cast<double>(s.IntAt(i));
-          }
-        } else {
-          for (size_t i = begin; i < end; ++i) acc += s.FloatAt(i);
-        }
-        partial[base + m] = acc;
-      });
-    });
-    span.Morsels(num);
-  }
-  trace::SpanGuard merge = ExchangeSpan(ctx, "exchange.merge");
-  merge.RowsIn(num);
-  double acc = 0.0;
-  if (opts.unsafe_unordered_merge) {
-    for (size_t m = num; m-- > 0;) acc += partial[m];
-  } else {
-    for (double p : partial) acc += p;
-  }
-  merge.RowsOut(1);
-  return acc;
-}
-
-Result<double> ShardedMin(const ShardedBat& sb, const ExecContext& ctx,
-                          const ExchangeOptions& opts) {
-  if (sb.rows() == 0) return Status::FailedPrecondition("Min of empty BAT");
-  if (sb.tail_type != TailType::kInt && sb.tail_type != TailType::kFloat) {
-    return Status::InvalidArgument("Min requires a numeric tail");
-  }
-  const size_t n = sb.num_shards();
-  std::vector<double> best(n, 0.0);
-  // Not vector<bool>: parallel shard workers write distinct slots, which
-  // packed bits would turn into same-byte races.
-  std::vector<uint8_t> has(n, 0);
-  {
-    trace::SpanGuard span = ExchangeSpan(ctx, "exchange.scatter");
-    span.RowsIn(sb.rows());
-    if (span.enabled()) span.Detail(StrFormat("shards=%zu op=min", n));
-    std::vector<Status> errs(n);
-    const ExecContext inner = ShardContext(ctx, n, span.span());
-    ParallelForEach(ctx, n, [&](size_t k) {
-      const Bat& s = *sb.slices[k];
-      if (s.empty()) return;
-      Result<double> r = s.Min(inner);
-      if (r.ok()) {
-        best[k] = r.value();
-        has[k] = 1;
-      } else {
-        errs[k] = r.status();
-      }
-    });
-    for (const Status& e : errs) {
-      if (!e.ok()) return e;
-    }
-  }
-  trace::SpanGuard merge = ExchangeSpan(ctx, "exchange.merge");
-  merge.RowsIn(n);
-  bool seen = false;
-  double out = 0.0;
-  for (size_t k : MergeOrder(n, opts)) {
-    if (!has[k]) continue;
-    if (!seen) {
-      seen = true;
-      out = best[k];
-    } else if (BetterMin(best[k], out)) {
-      out = best[k];
-    }
-  }
-  merge.RowsOut(1);
-  return out;
-}
-
-Result<size_t> ShardedArgMax(const ShardedBat& sb, const ExecContext& ctx,
-                             const ExchangeOptions& opts) {
-  if (sb.rows() == 0) return Status::FailedPrecondition("ArgMax of empty BAT");
-  if (sb.tail_type != TailType::kInt && sb.tail_type != TailType::kFloat) {
-    return Status::InvalidArgument("ArgMax requires a numeric tail");
-  }
-  const size_t n = sb.num_shards();
-  std::vector<size_t> pos(n, 0);
-  std::vector<double> val(n, 0.0);
-  // Not vector<bool>: parallel shard workers write distinct slots, which
-  // packed bits would turn into same-byte races.
-  std::vector<uint8_t> has(n, 0);
-  {
-    trace::SpanGuard span = ExchangeSpan(ctx, "exchange.scatter");
-    span.RowsIn(sb.rows());
-    if (span.enabled()) span.Detail(StrFormat("shards=%zu op=arg_max", n));
-    std::vector<Status> errs(n);
-    const ExecContext inner = ShardContext(ctx, n, span.span());
-    ParallelForEach(ctx, n, [&](size_t k) {
-      const Bat& s = *sb.slices[k];
-      if (s.empty()) return;
-      Result<size_t> r = s.ArgMax(inner);
-      if (!r.ok()) {
-        errs[k] = r.status();
-        return;
-      }
-      pos[k] = sb.offsets[k] + r.value();
-      val[k] = s.tail_type() == TailType::kInt
-                   ? static_cast<double>(s.IntAt(r.value()))
-                   : s.FloatAt(r.value());
-      has[k] = 1;
-    });
-    for (const Status& e : errs) {
-      if (!e.ok()) return e;
-    }
-  }
-  // Strictly-better combine in shard order: ties resolve to the lowest
-  // global position, matching the kernel's serial and morsel scans.
-  trace::SpanGuard merge = ExchangeSpan(ctx, "exchange.merge");
-  merge.RowsIn(n);
-  bool seen = false;
-  size_t best_pos = 0;
-  double best_val = 0.0;
-  for (size_t k : MergeOrder(n, opts)) {
-    if (!has[k]) continue;
-    if (!seen) {
-      seen = true;
-      best_pos = pos[k];
-      best_val = val[k];
-    } else if (BetterMax(val[k], best_val)) {
-      best_val = val[k];
-      best_pos = pos[k];
-    }
-  }
-  merge.RowsOut(1);
-  return best_pos;
-}
-
-Result<double> ShardedMax(const ShardedBat& sb, const ExecContext& ctx,
-                          const ExchangeOptions& opts) {
-  // Delegates to ShardedArgMax, like Bat::Max delegates to ArgMax (same
-  // error messages, same tie resolution).
-  COBRA_ASSIGN_OR_RETURN(size_t gpos, ShardedArgMax(sb, ctx, opts));
-  for (size_t k = 0; k < sb.num_shards(); ++k) {
-    const Bat& s = *sb.slices[k];
-    if (gpos >= sb.offsets[k] && gpos < sb.offsets[k] + s.size()) {
-      const size_t i = gpos - sb.offsets[k];
-      return s.tail_type() == TailType::kInt ? static_cast<double>(s.IntAt(i))
-                                             : s.FloatAt(i);
-    }
-  }
-  return Status::Internal("ShardedMax: ArgMax position outside every shard");
-}
-
-Result<Bat> ShardedGroup(const ShardedBat& sb,
-                         std::vector<size_t>* representatives,
-                         const ExecContext& ctx, const ExchangeOptions& opts) {
-  const size_t n = sb.num_shards();
-  std::vector<Bat> parts(n, Bat(TailType::kOid));
-  std::vector<std::vector<size_t>> reps(n);
-  {
-    trace::SpanGuard span = ExchangeSpan(ctx, "exchange.scatter");
-    span.RowsIn(sb.rows());
-    if (span.enabled()) span.Detail(StrFormat("shards=%zu op=group", n));
-    const ExecContext inner = ShardContext(ctx, n, span.span());
-    ParallelForEach(ctx, n, [&](size_t k) {
-      parts[k] = Group(*sb.slices[k], &reps[k], inner);
-    });
-  }
-  // Merge: assign global dense ids by walking the shards in merge order and
-  // the local groups in local first-occurrence order. Keys must be portable
-  // across shards: the string itself for str tails (local dictionary codes
-  // are shard-private), the canonical -0.0-normalized 64-bit key otherwise
-  // — both induce exactly the equality Group's TailKeyAt hashing induces,
-  // so the numbering equals the single-BAT first-occurrence order.
-  trace::SpanGuard merge = ExchangeSpan(ctx, "exchange.merge");
-  merge.RowsIn(sb.rows());
-  std::unordered_map<uint64_t, Oid> global_num;
-  std::unordered_map<std::string, Oid> global_str;
-  if (representatives != nullptr) representatives->clear();
-  std::vector<std::vector<Oid>> local_to_global(n);
-  const std::vector<size_t> order = MergeOrder(n, opts);
-  for (size_t k : order) {
-    const Bat& s = *sb.slices[k];
-    local_to_global[k].reserve(reps[k].size());
-    for (size_t local_pos : reps[k]) {
-      Oid gid = 0;
-      bool inserted = false;
-      if (sb.tail_type == TailType::kStr) {
-        auto [it, ins] = global_str.try_emplace(
-            s.StrAt(local_pos),
-            static_cast<Oid>(global_str.size() + global_num.size()));
-        gid = it->second;
-        inserted = ins;
-      } else {
-        auto [it, ins] = global_num.try_emplace(
-            s.TailKeyAt(local_pos),
-            static_cast<Oid>(global_str.size() + global_num.size()));
-        gid = it->second;
-        inserted = ins;
-      }
-      if (inserted && representatives != nullptr) {
-        representatives->push_back(sb.offsets[k] + local_pos);
-      }
-      local_to_global[k].push_back(gid);
-    }
-  }
-  size_t total = 0;
-  for (const Bat& p : parts) total += p.size();
-  std::vector<Oid> heads;
-  std::vector<Oid> gids;
-  heads.reserve(total);
-  gids.reserve(total);
-  for (size_t k : order) {
-    const Bat& p = parts[k];
-    for (size_t i = 0; i < p.size(); ++i) {
-      heads.push_back(p.HeadAt(i));
-      gids.push_back(local_to_global[k][p.OidAt(i)]);
-    }
-  }
-  Bat out = Bat::FromOidColumns(std::move(heads), std::move(gids));
-  merge.RowsOut(out.size());
   return out;
 }
 

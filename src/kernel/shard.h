@@ -55,10 +55,17 @@ std::vector<ShardRange> ShardRanges(size_t rows, size_t shards, size_t align);
 /// A partitioned logical BAT: non-owning views of the per-shard slices, in
 /// shard order. `offsets[k]` is the global row offset of slice k (the sum of
 /// the earlier slice sizes). Valid only while the underlying BATs live.
+///
+/// This is also the kernel operators' source: the ordered piece list their
+/// one Run routine (operators.cc) takes. A plain BAT is one piece at offset
+/// 0 (Whole) and runs the morsel path; more pieces run the exchange path.
 struct ShardedBat {
   std::vector<const Bat*> slices;
   std::vector<size_t> offsets;
   TailType tail_type = TailType::kInt;
+
+  /// `bat` as a single piece at offset 0.
+  static ShardedBat Whole(const Bat& bat);
 
   size_t num_shards() const { return slices.size(); }
   size_t rows() const;
@@ -86,18 +93,20 @@ class PartitionedBat {
 
 // -- Exchange operators -----------------------------------------------------
 //
-// Scatter-gather forms of the kernel operators: fan out one kernel call per
-// shard slice (ParallelForEach over shards; each shard runs the existing
-// morsel-parallel kernel under a per-shard context whose threadcnt is the
-// caller's divided by the shard count) and merge deterministically in shard
-// order. Each form is byte-identical to the corresponding single-BAT kernel
-// call over the gathered input — including -0.0/NaN placement, tie
-// resolution, and dictionary-code assignment — and reproduces the kernel's
-// error checks in the same order with the same messages.
+// The piece-list entry points of the kernel operators. Every operator is
+// defined once (operators.cc) as a {partial over a row range, ordered
+// combine} pair; these forms run it over the slices of `sb`. With more than
+// one slice the exchange path scatters one piece per shard (ParallelForEach
+// over shards, each piece morsel-split under a context whose threadcnt is
+// the caller's divided by the shard count) and combines every piece's
+// partials in shard order; a one-slice ShardedBat runs the morsel path of
+// the Bat/ExecContext forms. Each form is byte-identical to the single-BAT
+// kernel call over the gathered input — including -0.0/NaN placement, tie
+// resolution, and dictionary-code assignment — with the same errors.
 //
-// When the context carries a trace sink, every exchange operator records an
-// `exchange.scatter` span (the per-shard kernel spans nest under it) and an
-// `exchange.merge` span, both under ctx.trace_parent.
+// When the context carries a trace sink, the exchange path records an
+// `exchange.scatter` span (one kernel.* span per shard nests under it) and
+// an `exchange.merge` span around the combine, both under ctx.trace_parent.
 
 /// Per-slice scan statistics — a zone map over one shard's slice of a
 /// numeric BAT. `min`/`max` ignore NaN tails (SelectRange never matches a
@@ -112,10 +121,10 @@ struct ShardStats {
 };
 
 struct ExchangeOptions {
-  /// TEST SEAM — never enable outside tests. Skips the deterministic
-  /// shard-order merge and concatenates the per-shard outputs in REVERSED
-  /// shard order instead (the deterministic stand-in for an exchange that
-  /// merges in completion order). The differential harness must catch it.
+  /// TEST SEAM — never enable outside tests. The combine takes the shards'
+  /// partials in REVERSED shard order (the deterministic stand-in for an
+  /// exchange that merges in completion order). The differential harness
+  /// must catch it.
   bool unsafe_unordered_merge = false;
   /// Optional zone maps (one per shard, from ShardedCatalog::ScanStats or
   /// ComputeShardStats) enabling partition pruning in ShardedSelectRange:
@@ -157,12 +166,12 @@ Result<Bat> ShardedDiff(const ShardedBat& a, const Bat& b,
                         const ExecContext& ctx,
                         const ExchangeOptions& opts = {});
 
-/// Aggregates. Sum refolds gathered per-morsel partials in global morsel
-/// order when the shard offsets sit on the context's morsel grid (and
-/// otherwise falls back to gather + kernel Sum, still byte-identical).
-/// Min/Max/ArgMax combine per-shard results in shard order with the
-/// kernel's NaN-skipping leftmost-winner rule, which is associative, so no
-/// grid alignment is required. ArgMax returns the GLOBAL row position.
+/// Aggregates. Sum refolds the per-morsel partials in global morsel order
+/// when the shard offsets sit on the context's morsel grid (and otherwise
+/// gathers and runs one piece, still byte-identical). Min/Max/ArgMax
+/// combine partials in order with the kernel's NaN-skipping leftmost-winner
+/// rule, which is associative, so no grid alignment is required. ArgMax
+/// returns the GLOBAL row position.
 Result<double> ShardedSum(const ShardedBat& sb, const ExecContext& ctx,
                           const ExchangeOptions& opts = {});
 Result<double> ShardedMin(const ShardedBat& sb, const ExecContext& ctx,
@@ -172,11 +181,11 @@ Result<double> ShardedMax(const ShardedBat& sb, const ExecContext& ctx,
 Result<size_t> ShardedArgMax(const ShardedBat& sb, const ExecContext& ctx,
                              const ExchangeOptions& opts = {});
 
-/// Sharded group-by: per-shard Group runs locally, then local dense ids are
-/// remapped to global ids by walking shards in order and keying on
-/// shard-portable canonical values (the string itself for str tails — local
-/// dictionary codes do not transfer — and the -0.0-normalized bit pattern
-/// otherwise), preserving global first-occurrence numbering.
+/// Sharded group-by: local tables per range, then local ids are remapped to
+/// global ids by walking the ranges in order and keying on shard-portable
+/// canonical values (the string itself for str tails — local dictionary
+/// codes do not transfer — and the -0.0-normalized bit pattern otherwise),
+/// preserving global first-occurrence numbering.
 /// `representatives`, when non-null, receives one GLOBAL position per group.
 Result<Bat> ShardedGroup(const ShardedBat& sb,
                          std::vector<size_t>* representatives,

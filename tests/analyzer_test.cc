@@ -149,6 +149,14 @@ TEST_F(MilAnalyzerTest, MalformedCorpusRejectedWithPositions) {
       "PRINT concat(bat('values'), bat('names'));",
       "save 42;",
       "load;",
+      // Numbers cast to integers must be representable.
+      "PRINT slice(bat('values'), -1, 5);",
+      "PRINT slice(bat('values'), 0, 1e30);",
+      "PRINT insert(new('int'), 0, 1e300);",
+      "PRINT insert(new('int'), 0, -1e19);",
+      "PRINT insert(new('oid'), 0, -2);",
+      "PRINT insert(new('dbl'), -1, 0.5);",
+      "PRINT insert(new('str'), 1e20, 'x');",
   };
   for (const char* script : corpus) {
     DiagnosticList diags = Analyze(script);
@@ -201,6 +209,21 @@ TEST_F(MilAnalyzerTest, MirrorsRuntimeMessages) {
   EXPECT_NE(FirstError(Analyze("PRINT bat('missing');"))
                 .message.find("no BAT named missing"),
             std::string::npos);
+  // Integer range errors name the argument the runtime names, at its
+  // position.
+  const Diagnostic slice =
+      FirstError(Analyze("PRINT slice(bat('values'), -1, 5);"));
+  EXPECT_EQ(slice.col, 28);
+  EXPECT_EQ(slice.code, StatusCode::kInvalidArgument);
+  EXPECT_NE(slice.message.find("slice begin must be in [0, 2^64), got -1"),
+            std::string::npos)
+      << slice.message;
+  const Diagnostic tail =
+      FirstError(Analyze("PRINT insert(new('int'), 0, 1e300);"));
+  EXPECT_EQ(tail.col, 29);
+  EXPECT_NE(tail.message.find("insert tail must be in [-2^63, 2^63)"),
+            std::string::npos)
+      << tail.message;
 }
 
 TEST_F(MilAnalyzerTest, DeeplyNestedExpressionIsRejected) {

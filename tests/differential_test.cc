@@ -283,22 +283,40 @@ TEST_P(DifferentialTest, OperatorsBytewiseEqualAcrossPlans) {
         concat.Concat(other, ctx);
         ExpectSameBat(ref_concat, concat);
 
-        // Sharded leg: the same operators through the scatter-gather
+        // Sharded legs: the same operators through the scatter-gather
         // exchange at 2 and 7 shards must merge to exactly the same bytes
-        // (and fail with exactly the same messages).
+        // (and fail with exactly the same messages). The aligned leg cuts
+        // shards on the plan's morsel grid; the off-grid leg cuts them every
+        // 3 rows under 4-row morsels, so shard boundaries fall inside
+        // morsels — Sum included, every operator must still match.
+        ExecContext off_grid = ctx;
+        off_grid.morsel_rows = 4;
+        ExecContext off_grid_base = base;
+        off_grid_base.morsel_rows = 4;
+        struct ShardLeg {
+          const char* name;
+          const ExecContext& ctx;
+          size_t align;
+          const ExecContext& sum_ref;  // Sum's same-grid reference plan
+        };
+        const ShardLeg legs[] = {{"aligned", ctx, ctx.MorselRows(), base},
+                                 {"off-grid", off_grid, 3, off_grid_base}};
+        for (const ShardLeg& leg : legs)
         for (const size_t shard_count : {size_t{2}, size_t{7}}) {
-          SCOPED_TRACE("shards: " + std::to_string(shard_count));
-          const PartitionedBat part(bat, shard_count, ctx.MorselRows());
+          SCOPED_TRACE(std::string("shard leg: ") + leg.name +
+                       " shards: " + std::to_string(shard_count));
+          const ExecContext& sctx = leg.ctx;
+          const PartitionedBat part(bat, shard_count, leg.align);
           const ShardedBat sb = part.View();
 
-          ExpectSameBat(bat, GatherShards(sb, ctx));
+          ExpectSameBat(bat, GatherShards(sb, sctx));
 
-          auto ssel = ShardedSelectEq(sb, probe, ctx);
+          auto ssel = ShardedSelectEq(sb, probe, sctx);
           ASSERT_TRUE(ssel.ok());
           ExpectSameBat(*ref_select, *ssel);
 
           if (type == TailType::kStr) {
-            auto sstr = ShardedSelectStr(sb, "s3", ctx);
+            auto sstr = ShardedSelectStr(sb, "s3", sctx);
             ASSERT_TRUE(sstr.ok());
             ExpectSameBat(*bat.SelectStr("s3"), *sstr);
           }
@@ -306,48 +324,50 @@ TEST_P(DifferentialTest, OperatorsBytewiseEqualAcrossPlans) {
           if (type == TailType::kInt || type == TailType::kFloat) {
             auto ref_range = bat.SelectRange(-1.5, 1.0);
             ASSERT_TRUE(ref_range.ok());
-            auto srange = ShardedSelectRange(sb, -1.5, 1.0, ctx);
+            auto srange = ShardedSelectRange(sb, -1.5, 1.0, sctx);
             ASSERT_TRUE(srange.ok());
             ExpectSameBat(*ref_range, *srange);
 
             // The pruned plan (zone maps) must not change a single byte.
-            const std::vector<ShardStats> stats = ComputeShardStats(sb, ctx);
+            const std::vector<ShardStats> stats = ComputeShardStats(sb, sctx);
             ExchangeOptions pruned;
             pruned.scan_stats = &stats;
-            auto spruned = ShardedSelectRange(sb, -1.5, 1.0, ctx, pruned);
+            auto spruned = ShardedSelectRange(sb, -1.5, 1.0, sctx, pruned);
             ASSERT_TRUE(spruned.ok());
             ExpectSameBat(*ref_range, *spruned);
 
             if (n == 0) {
-              EXPECT_EQ(bat.Min(ctx).status().message(),
-                        ShardedMin(sb, ctx).status().message());
-              EXPECT_EQ(bat.Max(ctx).status().message(),
-                        ShardedMax(sb, ctx).status().message());
-              EXPECT_EQ(bat.ArgMax(ctx).status().message(),
-                        ShardedArgMax(sb, ctx).status().message());
-              EXPECT_TRUE(SameBits(*bat.Sum(base), *ShardedSum(sb, ctx)));
+              EXPECT_EQ(bat.Min(sctx).status().message(),
+                        ShardedMin(sb, sctx).status().message());
+              EXPECT_EQ(bat.Max(sctx).status().message(),
+                        ShardedMax(sb, sctx).status().message());
+              EXPECT_EQ(bat.ArgMax(sctx).status().message(),
+                        ShardedArgMax(sb, sctx).status().message());
+              EXPECT_TRUE(
+                  SameBits(*bat.Sum(leg.sum_ref), *ShardedSum(sb, sctx)));
             } else {
-              EXPECT_TRUE(SameBits(*bat.Sum(base), *ShardedSum(sb, ctx)));
-              EXPECT_TRUE(SameBits(*bat.Max(), *ShardedMax(sb, ctx)));
-              EXPECT_TRUE(SameBits(*bat.Min(), *ShardedMin(sb, ctx)));
-              EXPECT_EQ(*bat.ArgMax(), *ShardedArgMax(sb, ctx));
+              EXPECT_TRUE(
+                  SameBits(*bat.Sum(leg.sum_ref), *ShardedSum(sb, sctx)));
+              EXPECT_TRUE(SameBits(*bat.Max(), *ShardedMax(sb, sctx)));
+              EXPECT_TRUE(SameBits(*bat.Min(), *ShardedMin(sb, sctx)));
+              EXPECT_EQ(*bat.ArgMax(), *ShardedArgMax(sb, sctx));
             }
           }
 
-          const PartitionedBat left_part(left, shard_count, ctx.MorselRows());
-          auto sjoin = ShardedJoin(left_part.View(), bat, ctx);
+          const PartitionedBat left_part(left, shard_count, leg.align);
+          auto sjoin = ShardedJoin(left_part.View(), bat, sctx);
           ASSERT_TRUE(sjoin.ok());
           ExpectSameBat(*ref_join, *sjoin);
 
-          auto ssemi = ShardedSemijoin(sb, filter, ctx);
+          auto ssemi = ShardedSemijoin(sb, filter, sctx);
           ASSERT_TRUE(ssemi.ok());
           ExpectSameBat(ref_semi, *ssemi);
-          auto sdiff = ShardedDiff(sb, filter, ctx);
+          auto sdiff = ShardedDiff(sb, filter, sctx);
           ASSERT_TRUE(sdiff.ok());
           ExpectSameBat(ref_diff, *sdiff);
 
           std::vector<size_t> sreps;
-          auto sgroup = ShardedGroup(sb, &sreps, ctx);
+          auto sgroup = ShardedGroup(sb, &sreps, sctx);
           ASSERT_TRUE(sgroup.ok());
           ExpectSameBat(ref_group, *sgroup);
           EXPECT_EQ(ref_reps, sreps);

@@ -1,3 +1,6 @@
+#include <string>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "kernel/catalog.h"
@@ -147,6 +150,56 @@ TEST_F(MilTest, TypeMismatchedInsertIsRejected) {
       << bad_str.status().ToString();
   // Inserting into a non-BAT is caught too.
   EXPECT_FALSE(session_->Execute("PRINT insert(7, 0, 1);").ok());
+}
+
+// Numbers cast to integers (slice positions, insert heads, int and oid
+// tails) must be representable: negative, NaN, infinite or out-of-range
+// values are typed InvalidArgument errors, never an undefined cast. The
+// values are computed at run time, so the analyzer cannot know them and the
+// interpreter's own check is what rejects them.
+TEST_F(MilTest, OutOfRangeIntegersAreRejected) {
+  const std::string setup =
+      "VAR neg := min(insert(new('dbl'), 0, -1));\n"
+      "VAR huge := max(insert(new('dbl'), 0, 1e300));\n"
+      "VAR inf := sum(insert(insert(new('dbl'), 0, 1e308), 1, 1e308));\n"
+      "VAR ninf := sum(insert(insert(new('dbl'), 0, -1e308), 1, -1e308));\n"
+      "VAR nan := sum(insert(insert(new('dbl'), 0, inf), 1, ninf));\n";
+  const std::pair<const char*, const char*> cases[] = {
+      {"PRINT slice(bat('values'), neg, 5);",
+       "slice begin must be in [0, 2^64)"},
+      {"PRINT slice(bat('values'), 0, nan);",
+       "slice end must be in [0, 2^64)"},
+      {"PRINT slice(bat('values'), 0, huge);",
+       "slice end must be in [0, 2^64)"},
+      {"PRINT insert(new('int'), 0, huge);",
+       "insert tail must be in [-2^63, 2^63)"},
+      {"PRINT insert(new('int'), 0, nan);",
+       "insert tail must be in [-2^63, 2^63)"},
+      {"PRINT insert(new('int'), 0, ninf);",
+       "insert tail must be in [-2^63, 2^63)"},
+      {"PRINT insert(new('oid'), 0, neg);",
+       "insert tail must be in [0, 2^64)"},
+      {"PRINT insert(new('dbl'), neg, 1);",
+       "insert head must be in [0, 2^64)"},
+      {"PRINT insert(new('dbl'), inf, 1);",
+       "insert head must be in [0, 2^64)"},
+  };
+  for (const auto& [stmt, message] : cases) {
+    std::string script = setup;
+    script += stmt;
+    MilSession session(&catalog_);
+    auto out = session.Execute(script);
+    ASSERT_FALSE(out.ok()) << stmt;
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument) << stmt;
+    EXPECT_NE(out.status().message().find(message), std::string::npos)
+        << stmt << ": " << out.status().message();
+  }
+  // In range values still work; fractions truncate.
+  auto ok = session_->Execute(
+      "PRINT count(slice(bat('values'), 2.5, 5));\n"
+      "PRINT sum(insert(new('int'), 0, -9.2e18));");
+  ASSERT_TRUE(ok.ok()) << ok.status().message();
+  EXPECT_EQ(*ok, "3\n-9.2e+18\n");
 }
 
 TEST_F(MilTest, DeeplyNestedExpressionIsRejected) {
