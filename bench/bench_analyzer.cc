@@ -1,16 +1,14 @@
 // Overhead of the pre-execution verifiers.
 //
-// Every MIL Execute() and every QueryEngine::Execute(text) now runs a static
-// analysis pass before the first operator; this bench pins that tax as
-// analysis-seconds next to full execution-seconds for representative inputs:
+// Every MIL Execute() runs a static analysis pass before the first
+// operator; this bench pins that tax as analysis-seconds next to full
+// execution-seconds for representative inputs:
 //
 //   mil_pipeline   — the Fig. 4-shaped select/join/aggregate script
 //   mil_wide       — a long straight-line script (500 statements)
 //   mil_deep       — an expression near the nesting limit
-//   query_text     — a RETRIEVE with WHERE + temporal clause
 //
-// `overhead` is analyze-seconds / execute-seconds of the same input (for
-// query_text the denominator is ParseQuery, the smallest downstream stage).
+// `overhead` is analyze-seconds / execute-seconds of the same input.
 //
 // A second section measures the ACCURACY of the abstract interpreter's
 // static cardinality intervals against observed execution: a traced plan
@@ -36,8 +34,6 @@
 #include "kernel/bat.h"
 #include "kernel/catalog.h"
 #include "kernel/mil.h"
-#include "query/analyzer.h"
-#include "query/parser.h"
 
 namespace cobra::kernel {
 namespace {
@@ -211,14 +207,6 @@ int Main() {
         COBRA_CHECK(session.Execute(deep).ok());
       },
       &results);
-
-  const std::string query_text =
-      "RETRIEVE highlight FROM 'german-gp' OVERLAPPING caption "
-      "WHERE driver = 'Montoya' AND kind = 'pitstop' PREFER QUALITY";
-  RunPair(
-      "query_text",
-      [&] { COBRA_CHECK(query::AnalyzeQueryText(query_text).ok()); },
-      [&] { COBRA_CHECK(query::ParseQuery(query_text).ok()); }, &results);
 
   std::printf("=== static interval accuracy (traced plan matrix) ===\n");
   const std::vector<std::string> accuracy_scripts = {

@@ -57,6 +57,36 @@ std::string StrJoin(const std::vector<std::string>& pieces,
   return out;
 }
 
+void AppendJsonString(std::string_view s, std::string* out) {
+  *out += '"';
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\r':
+        *out += "\\r";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          *out += StrFormat("\\u%04x", static_cast<unsigned>(c));
+        } else {
+          *out += c;
+        }
+    }
+  }
+  *out += '"';
+}
+
 std::string StrFormat(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

@@ -26,6 +26,11 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 std::string StrJoin(const std::vector<std::string>& pieces,
                     std::string_view sep);
 
+/// Appends `s` as a quoted JSON string literal: `"` and `\` are escaped,
+/// \n \r \t get their short forms, other control bytes become \u00XX, and
+/// every other byte (UTF-8 included) is copied through.
+void AppendJsonString(std::string_view s, std::string* out);
+
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));

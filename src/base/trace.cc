@@ -55,36 +55,6 @@ void AppendIndented(const Span& span, int depth, std::string* out) {
   }
 }
 
-void AppendJsonString(std::string_view s, std::string* out) {
-  *out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += StrFormat("\\u%04x", static_cast<unsigned>(c));
-        } else {
-          *out += c;
-        }
-    }
-  }
-  *out += '"';
-}
-
 void AppendJson(const Span& span, std::string* out) {
   *out += "{\"name\":";
   AppendJsonString(span.name, out);

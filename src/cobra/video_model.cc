@@ -87,6 +87,7 @@ bool ReadAttrs(io::ByteReader* r, std::map<std::string, std::string>* attrs) {
 
 Result<VideoId> VideoCatalog::RegisterVideo(const std::string& name,
                                             double duration_sec, double fps) {
+  MutexLock write(write_mu_);
   MutexLock lock(mu_);
   for (const auto& v : videos_) {
     if (v.name == name) return Status::AlreadyExists("video exists: " + name);
@@ -150,6 +151,7 @@ std::string VideoCatalog::FeatureBatName(VideoId video,
 Status VideoCatalog::StoreFeatureSeries(VideoId video,
                                         const std::string& feature,
                                         const std::vector<double>& values) {
+  MutexLock write(write_mu_);
   const std::string bat_name = FeatureBatName(video, feature);
   if (catalog_->Exists(bat_name)) {
     COBRA_RETURN_IF_ERROR(catalog_->Drop(bat_name));
@@ -197,6 +199,7 @@ std::vector<std::string> VideoCatalog::FeatureNames(VideoId video) const {
 }
 
 Status VideoCatalog::StoreObject(VideoId video, const ObjectRecord& object) {
+  MutexLock write(write_mu_);
   COBRA_ASSIGN_OR_RETURN(kernel::Oid oid, session_.NewObject("object"));
   COBRA_RETURN_IF_ERROR(
       session_.SetAttr("object", oid, "video", kernel::Value::OfOid(video)));
@@ -236,6 +239,7 @@ Result<std::vector<ObjectRecord>> VideoCatalog::Objects(
 }
 
 Status VideoCatalog::StoreEvent(VideoId video, const EventRecord& event) {
+  MutexLock write(write_mu_);
   COBRA_ASSIGN_OR_RETURN(kernel::Oid oid, session_.NewObject("event"));
   COBRA_RETURN_IF_ERROR(
       session_.SetAttr("event", oid, "video", kernel::Value::OfOid(video)));
@@ -308,6 +312,7 @@ bool VideoCatalog::HasEvents(VideoId video, const std::string& type) const {
 }
 
 Status VideoCatalog::DropEvents(VideoId video, const std::string& type) {
+  MutexLock write(write_mu_);
   MutexLock lock(mu_);
   auto it = events_.find(video);
   if (it == events_.end()) return Status::OK();
@@ -484,6 +489,11 @@ std::string VideoCatalog::SerializeState() const {
     }
   }
   return out;
+}
+
+Status VideoCatalog::Checkpoint(kernel::PersistentStore* store) {
+  MutexLock write(write_mu_);
+  return store->Checkpoint(*catalog_, SerializeState());
 }
 
 Status VideoCatalog::RestoreState(const std::string& payload,

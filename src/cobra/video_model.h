@@ -50,10 +50,11 @@ struct ObjectRecord {
 /// availability checks) can reach. Features are per-0.1 s-clip time series;
 /// events are attributed intervals.
 ///
-/// Thread-safe for concurrent readers against a single writer: the layer
-/// mirrors and the event version are guarded by an internal mutex (the
-/// kernel catalog beneath has its own), so query threads may read while a
-/// writer stores events and checkpoints.
+/// Thread-safe for concurrent readers against writers: the layer mirrors
+/// and the event version are guarded by an internal mutex (the kernel
+/// catalog beneath has its own), so query threads may read while a writer
+/// stores events and checkpoints. Model mutations and Checkpoint take a
+/// writer lock, which readers never take.
 class VideoCatalog {
  public:
   explicit VideoCatalog(kernel::Catalog* catalog);
@@ -150,6 +151,13 @@ class VideoCatalog {
   /// carries alongside the BAT image.
   std::string SerializeState() const COBRA_EXCLUDES(mu_);
 
+  /// Checkpoints the kernel catalog's BAT image plus SerializeState() into
+  /// `store` as one cut. Model mutations write kernel BATs before their
+  /// mirrors, so they wait for the checkpoint (and it for them); readers
+  /// never take that lock and never wait.
+  Status Checkpoint(kernel::PersistentStore* store)
+      COBRA_EXCLUDES(write_mu_, mu_);
+
   /// Replaces the mirrors with a SerializeState image (as returned in
   /// RecoveryInfo::extra). `wal_event_version` is the newest replayed
   /// kEventVersion record; the restored counter is the max of the two, so a
@@ -169,6 +177,9 @@ class VideoCatalog {
   kernel::Catalog* catalog_;
   moa::MoaSession session_;
 
+  /// Held by every model mutation for its whole body and by Checkpoint:
+  /// one writer at a time over the BATs and the mirrors. Taken before mu_.
+  Mutex write_mu_;
   mutable Mutex mu_;
   std::vector<VideoDescriptor> videos_ COBRA_GUARDED_BY(mu_);
   // Event storage: in-memory index mirroring the BAT-backed store.

@@ -5,40 +5,6 @@
 
 namespace cobra::kernel {
 
-namespace {
-
-void AppendJsonString(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out->append(StrFormat("\\u%04x", c));
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-}  // namespace
-
 Result<Bat*> Catalog::Create(const std::string& name, TailType tail_type) {
   MutexLock lock(mu_);
   auto [it, inserted] = bats_.emplace(name, nullptr);
@@ -109,7 +75,6 @@ void Catalog::AttachStore(const PersistentStore* store) {
 
 Catalog::CatalogStats Catalog::Stats() const {
   CatalogStats out;
-  const PersistentStore* store = nullptr;
   {
     MutexLock lock(mu_);
     out.bats.reserve(bats_.size());
@@ -117,19 +82,29 @@ Catalog::CatalogStats Catalog::Stats() const {
       out.bats.push_back(
           BatStats{name, bat->tail_type(), bat->size(), bat->accel_info()});
     }
+  }
+  out.store = Durability();
+  return out;
+}
+
+Catalog::StoreStats Catalog::Durability() const {
+  const PersistentStore* store = nullptr;
+  {
+    MutexLock lock(mu_);
     store = store_;
   }
   // Store stats are read outside mu_: PersistentStore::Checkpoint holds the
   // store mutex while reading this catalog, so taking the store mutex under
   // mu_ would invert that order.
+  StoreStats out;
   if (store != nullptr) {
     PersistentStore::DiskStats disk = store->Stats();
-    out.store.attached = true;
-    out.store.checkpoint_lsn = disk.checkpoint_lsn;
-    out.store.last_lsn = disk.last_lsn;
-    out.store.on_disk_bytes = disk.on_disk_bytes;
-    out.store.snapshot_files = disk.snapshot_files;
-    out.store.wal_files = disk.wal_files;
+    out.attached = true;
+    out.checkpoint_lsn = disk.checkpoint_lsn;
+    out.last_lsn = disk.last_lsn;
+    out.on_disk_bytes = disk.on_disk_bytes;
+    out.snapshot_files = disk.snapshot_files;
+    out.wal_files = disk.wal_files;
   }
   return out;
 }
@@ -142,9 +117,9 @@ std::string Catalog::StatsJson() const {
     if (!first) out.push_back(',');
     first = false;
     out.append("{\"name\":");
-    AppendJsonString(&out, b.name);
+    AppendJsonString(b.name, &out);
     out.append(",\"tail_type\":");
-    AppendJsonString(&out, TailTypeName(b.tail_type));
+    AppendJsonString(TailTypeName(b.tail_type), &out);
     out.append(StrFormat(
         ",\"rows\":%llu,\"dict_entries\":%llu,\"tail_index_built\":%s,"
         "\"tail_index_fresh\":%s,\"head_index_built\":%s,"

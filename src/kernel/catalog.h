@@ -94,8 +94,13 @@ class Catalog {
 
   /// Stats for every registered BAT, in name order, plus the durability
   /// state of the attached store. Reads the live BATs in place, so accreted
-  /// indexes show up (catalog copies would not carry them).
+  /// indexes show up (catalog copies would not carry them) — which races a
+  /// concurrent appender; callers that need only the store use Durability().
   CatalogStats Stats() const COBRA_EXCLUDES(mu_);
+
+  /// The durability state of the attached store alone. Touches no BAT, so
+  /// it is safe beside a writer appending to BATs in place.
+  StoreStats Durability() const COBRA_EXCLUDES(mu_);
 
   /// Stats() rendered as a JSON object (strict: passes trace::ValidateJson):
   /// {"bats": [{name, tail_type, rows, dict_entries, ...} ...],

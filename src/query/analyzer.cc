@@ -1,403 +1,26 @@
-// Static analysis for the retrieval language (AnalyzeQueryText) and the
-// pre-execution plan verifier (VerifyPlan), declared in analyzer.h.
-//
-// AnalyzeQueryText is a positioned mirror of ParseQuery: same lexer rules,
-// same grammar walk, same error strings — plus the line/column of the token
-// each error points at. Keeping the two in lockstep is what makes the
-// accept-parity guarantee testable (see analyzer_test.cc): for every input,
-// AnalyzeQueryText(text).ok() == ParseQuery(text).ok().
+// The pre-execution plan verifier (VerifyPlan), declared in analyzer.h.
 
 #include "query/analyzer.h"
 
-#include <cctype>
-#include <functional>
-#include <map>
-
-#include "base/strings.h"
-
 namespace cobra::query {
-namespace {
 
-/// A retrieval-language token with the 1-based position of its first
-/// character. Token rules are identical to parser.cc's Lexer.
-struct QToken {
-  enum class Kind { kWord, kString, kEquals, kEnd };
-  Kind kind = Kind::kEnd;
-  std::string text;
-  int line = 1;
-  int col = 1;
-};
-
-class QLexer {
- public:
-  explicit QLexer(const std::string& input) : input_(input) {}
-
-  Result<QToken> Next() {
-    while (pos_ < input_.size() &&
-           std::isspace(static_cast<unsigned char>(input_[pos_]))) {
-      Bump();
-    }
-    token_line_ = line_;
-    token_col_ = col_;
-    if (pos_ >= input_.size()) return Make(QToken::Kind::kEnd, "");
-    const char c = input_[pos_];
-    if (c == '=') {
-      Bump();
-      return Make(QToken::Kind::kEquals, "=");
-    }
-    if (c == '\'' || c == '"') {
-      const char quote = c;
-      Bump();
-      std::string text;
-      while (pos_ < input_.size() && input_[pos_] != quote) {
-        text += input_[pos_];
-        Bump();
-      }
-      if (pos_ >= input_.size()) {
-        return Status::InvalidArgument("unterminated string literal");
-      }
-      Bump();  // closing quote
-      return Make(QToken::Kind::kString, std::move(text));
-    }
-    if (std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '-' ||
-        c == '.') {
-      std::string text;
-      while (pos_ < input_.size()) {
-        const char d = input_[pos_];
-        if (std::isalnum(static_cast<unsigned char>(d)) || d == '_' ||
-            d == '-' || d == '.') {
-          text += d;
-          Bump();
-        } else {
-          break;
-        }
-      }
-      return Make(QToken::Kind::kWord, std::move(text));
-    }
-    return Status::InvalidArgument(std::string("unexpected character '") + c +
-                                   "' in query");
-  }
-
-  int token_line() const { return token_line_; }
-  int token_col() const { return token_col_; }
-
- private:
-  QToken Make(QToken::Kind kind, std::string text) const {
-    QToken tok;
-    tok.kind = kind;
-    tok.text = std::move(text);
-    tok.line = token_line_;
-    tok.col = token_col_;
-    return tok;
-  }
-
-  void Bump() {
-    if (input_[pos_] == '\n') {
-      ++line_;
-      col_ = 1;
-    } else {
-      ++col_;
-    }
-    ++pos_;
-  }
-
-  const std::string& input_;
-  size_t pos_ = 0;
-  int line_ = 1;
-  int col_ = 1;
-  int token_line_ = 1;
-  int token_col_ = 1;
-};
-
-bool IsKeyword(const QToken& tok, const char* kw) {
-  return tok.kind == QToken::Kind::kWord && ToUpperAscii(tok.text) == kw;
-}
-
-/// Duration-literal mirror of parser.cc's ParseWindowDuration — identical
-/// accepted shapes (`[-]digits[.digits]` + `s`/`S`), kept in lockstep for
-/// the accept-parity guarantee.
-bool ParseWindowDuration(const std::string& text, double* seconds) {
-  size_t i = 0;
-  bool negative = false;
-  if (i < text.size() && text[i] == '-') {
-    negative = true;
-    ++i;
-  }
-  size_t digits = 0;
-  double value = 0.0;
-  while (i < text.size() &&
-         std::isdigit(static_cast<unsigned char>(text[i]))) {
-    value = value * 10.0 + (text[i] - '0');
-    ++digits;
-    ++i;
-  }
-  if (digits == 0) return false;
-  if (i < text.size() && text[i] == '.') {
-    ++i;
-    double scale = 0.1;
-    size_t frac = 0;
-    while (i < text.size() &&
-           std::isdigit(static_cast<unsigned char>(text[i]))) {
-      value += (text[i] - '0') * scale;
-      scale *= 0.1;
-      ++frac;
-      ++i;
-    }
-    if (frac == 0) return false;
-  }
-  if (i + 1 != text.size() || (text[i] != 's' && text[i] != 'S')) {
-    return false;
-  }
-  *seconds = negative ? -value : value;
-  return true;
-}
-
-/// Grammar mirror of ParseQuery. Records at most one diagnostic (the walk
-/// stops at the first error, exactly where the parser would).
-class QueryAnalyzer {
- public:
-  explicit QueryAnalyzer(const std::string& text) : lexer_(text) {}
-
-  QueryAnalysis Run() {
-    QToken tok;
-    if (!Next(&tok)) return Finish();
-    bool profile = false;
-    bool explain = false;
-    if (IsKeyword(tok, "WATCH")) {
-      watch_ = true;
-      if (!Next(&tok)) return Finish();
-    } else if (IsKeyword(tok, "PROFILE")) {
-      profile = true;
-      if (!Next(&tok)) return Finish();
-    } else if (IsKeyword(tok, "EXPLAIN")) {
-      explain = true;
-      if (!Next(&tok)) return Finish();
-    }
-    if (!IsKeyword(tok, "RETRIEVE")) {
-      Error(tok, watch_    ? "expected RETRIEVE after WATCH"
-                 : profile ? "expected RETRIEVE after PROFILE"
-                 : explain ? "expected RETRIEVE after EXPLAIN"
-                           : "query must start with RETRIEVE");
-      return Finish();
-    }
-    if (!Next(&tok)) return Finish();
-    if (tok.kind != QToken::Kind::kWord) {
-      Error(tok, "expected event type after RETRIEVE");
-      return Finish();
-    }
-    if (!Next(&tok)) return Finish();
-    if (!IsKeyword(tok, "FROM")) {
-      Error(tok, "expected FROM after event type");
-      return Finish();
-    }
-    if (!Next(&tok)) return Finish();
-    if (tok.kind != QToken::Kind::kString && tok.kind != QToken::Kind::kWord) {
-      Error(tok, "expected video name after FROM");
-      return Finish();
-    }
-    video_line_ = tok.line;
-    video_col_ = tok.col;
-    if (!Next(&tok)) return Finish();
-    if (IsKeyword(tok, "WHERE")) {
-      if (!AnalyzeWhere(&tok, /*secondary=*/false)) return Finish();
-    }
-
-    static const std::map<std::string, TemporalOp> kTemporalOps = {
-        {"DURING", TemporalOp::kDuring},
-        {"OVERLAPPING", TemporalOp::kOverlapping},
-        {"BEFORE", TemporalOp::kBefore},
-        {"AFTER", TemporalOp::kAfter},
-        {"CONTAINING", TemporalOp::kContaining},
-    };
-    if (tok.kind == QToken::Kind::kWord &&
-        kTemporalOps.count(ToUpperAscii(tok.text)) != 0) {
-      if (!Next(&tok)) return Finish();
-      if (tok.kind != QToken::Kind::kWord) {
-        Error(tok, "expected event type after temporal operator");
-        return Finish();
-      }
-      if (!Next(&tok)) return Finish();
-      if (IsKeyword(tok, "WHERE")) {
-        if (!AnalyzeWhere(&tok, /*secondary=*/true)) return Finish();
-      }
-    }
-
-    if (IsKeyword(tok, "PREFER")) {
-      if (!Next(&tok)) return Finish();
-      if (!IsKeyword(tok, "QUALITY") && !IsKeyword(tok, "COST")) {
-        Error(tok, "expected QUALITY or COST after PREFER");
-        return Finish();
-      }
-      if (!Next(&tok)) return Finish();
-    }
-
-    if (IsKeyword(tok, "WINDOW")) {
-      if (!watch_) {
-        Error(tok, "WINDOW requires WATCH");
-        return Finish();
-      }
-      if (!Next(&tok)) return Finish();
-      double seconds = 0.0;
-      if (tok.kind != QToken::Kind::kWord ||
-          !ParseWindowDuration(tok.text, &seconds)) {
-        Error(tok, "expected window duration like '30s' after WINDOW");
-        return Finish();
-      }
-      if (seconds <= 0.0) {
-        Error(tok, "window duration must be positive");
-        return Finish();
-      }
-      window_sec_ = seconds;
-      if (!Next(&tok)) return Finish();
-    }
-
-    if (tok.kind != QToken::Kind::kEnd) {
-      Error(tok, "unexpected trailing token: " + tok.text);
-    }
-    return Finish();
-  }
-
- private:
-  QueryAnalysis Finish() {
-    QueryAnalysis analysis;
-    analysis.diags = std::move(diags_);
-    analysis.attr_sites = std::move(sites_);
-    analysis.watch = watch_;
-    analysis.window_sec = window_sec_;
-    analysis.video_line = video_line_;
-    analysis.video_col = video_col_;
-    return analysis;
-  }
-
-  bool Next(QToken* tok) {
-    Result<QToken> next = lexer_.Next();
-    if (!next.ok()) {
-      diags_.Error(lexer_.token_line(), lexer_.token_col(),
-                   next.status().message(), next.status().code());
-      return false;
-    }
-    *tok = std::move(next).value();
-    return true;
-  }
-
-  void Error(const QToken& at, std::string message) {
-    diags_.Error(at.line, at.col, std::move(message),
-                 StatusCode::kInvalidArgument);
-  }
-
-  /// WHERE clause mirror: on entry *tok is the WHERE keyword; on true
-  /// return, *tok is the first token past the clause. Each well-formed
-  /// predicate is recorded as an AttrSite anchored at its attribute token.
-  bool AnalyzeWhere(QToken* tok, bool secondary) {
-    if (!Next(tok)) return false;
-    for (;;) {
-      if (tok->kind != QToken::Kind::kWord) {
-        Error(*tok, "expected attribute name in WHERE");
-        return false;
-      }
-      const QToken attr = *tok;
-      const std::string key = ToLowerAscii(tok->text);
-      QToken eq;
-      if (!Next(&eq)) return false;
-      if (eq.kind != QToken::Kind::kEquals) {
-        Error(eq, "expected '=' after attribute " + key);
-        return false;
-      }
-      QToken value;
-      if (!Next(&value)) return false;
-      if (value.kind != QToken::Kind::kString &&
-          value.kind != QToken::Kind::kWord) {
-        Error(value, "expected value after '='");
-        return false;
-      }
-      AttrSite site;
-      site.line = attr.line;
-      site.col = attr.col;
-      site.secondary = secondary;
-      site.key = key;
-      site.value = ToUpperAscii(value.text);
-      sites_.push_back(std::move(site));
-      if (!Next(tok)) return false;
-      if (!IsKeyword(*tok, "AND")) break;
-      if (!Next(tok)) return false;
-    }
-    return true;
-  }
-
-  QLexer lexer_;
-  DiagnosticList diags_;
-  std::vector<AttrSite> sites_;
-  bool watch_ = false;
-  double window_sec_ = 0.0;
-  int video_line_ = 1;
-  int video_col_ = 1;
-};
-
-}  // namespace
-
-DiagnosticList AnalyzeQueryText(const std::string& text) {
-  return QueryAnalyzer(text).Run().diags;
-}
-
-QueryAnalysis AnalyzeQueryTextWithFacts(const std::string& text) {
-  return QueryAnalyzer(text).Run();
-}
-
-namespace {
-
-/// Shared body of both VerifyPlan overloads: `has_events` answers "does the
-/// read surface already hold metadata of this type for the plan's video".
-Status VerifyPlanOver(
-    const ParsedQuery& query, const model::VideoDescriptor& video,
-    const extensions::ExtensionRegistry& registry,
-    const std::function<bool(model::VideoId, const std::string&)>& has_events) {
+Status VerifyPlan(const ParsedQuery& query, const ReadSurface& surface,
+                  const extensions::ExtensionRegistry& registry) {
+  COBRA_ASSIGN_OR_RETURN(const ReadSurface source,
+                         surface.Resolve(query.video));
+  COBRA_ASSIGN_OR_RETURN(const model::VideoDescriptor video,
+                         source.FindVideo(query.video));
+  // Mirrors the preprocessor's failure exactly, minus its side effects.
   auto satisfiable = [&](const std::string& type) {
-    return has_events(video.id, type) || !registry.Providers(type).empty();
+    if (source.HasEvents(video.id, type) || !registry.Providers(type).empty()) {
+      return Status::OK();
+    }
+    return Status::NotFound("no metadata and no extraction method for '" +
+                            type + "'");
   };
-  // Mirrors EnsureAvailable's failure exactly, minus its side effects.
-  if (!satisfiable(query.primary.type)) {
-    return Status::NotFound("no metadata and no extraction method for '" +
-                            query.primary.type + "'");
-  }
-  if (query.temporal_op != TemporalOp::kNone &&
-      !satisfiable(query.secondary.type)) {
-    return Status::NotFound("no metadata and no extraction method for '" +
-                            query.secondary.type + "'");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status VerifyPlan(const ParsedQuery& query, const model::VideoCatalog& catalog,
-                  const extensions::ExtensionRegistry& registry) {
-  COBRA_ASSIGN_OR_RETURN(model::VideoDescriptor video,
-                         catalog.FindVideo(query.video));
-  return VerifyPlanOver(query, video, registry,
-                        [&catalog](model::VideoId id, const std::string& type) {
-                          return catalog.HasEvents(id, type);
-                        });
-}
-
-Status VerifyPlan(const ParsedQuery& query, const CatalogSnapshot& snapshot,
-                  const extensions::ExtensionRegistry& registry) {
-  COBRA_ASSIGN_OR_RETURN(model::VideoDescriptor video,
-                         snapshot.FindVideo(query.video));
-  return VerifyPlanOver(query, video, registry,
-                        [&snapshot](model::VideoId id,
-                                    const std::string& type) {
-                          return snapshot.HasEvents(id, type);
-                        });
-}
-
-Status VerifyPlan(const ParsedQuery& query, const ShardedSnapshotSet& snapshots,
-                  const extensions::ExtensionRegistry& registry) {
-  if (snapshots.empty()) {
-    return Status::InvalidArgument(
-        "sharded plan verification needs at least one shard snapshot");
-  }
-  return VerifyPlan(query, snapshots.shard(snapshots.OwnerOf(query.video)),
-                    registry);
+  COBRA_RETURN_IF_ERROR(satisfiable(query.primary.type));
+  if (query.temporal_op == TemporalOp::kNone) return Status::OK();
+  return satisfiable(query.secondary.type);
 }
 
 }  // namespace cobra::query

@@ -1,58 +1,15 @@
 #ifndef COBRA_QUERY_ANALYZER_H_
 #define COBRA_QUERY_ANALYZER_H_
 
-#include <string>
-#include <vector>
-
-#include "base/diag.h"
 #include "base/status.h"
-#include "cobra/video_model.h"
 #include "extensions/extension.h"
 #include "query/parser.h"
 #include "query/snapshot.h"
 
 namespace cobra::query {
 
-/// Static verification of retrieval-query text: walks the exact grammar
-/// ParseQuery accepts (mirroring its error messages) and reports every
-/// syntax error with the 1-based line/column of the offending token. A text
-/// this returns ok() for always parses; a rejected text never reaches the
-/// parser, let alone an operator. Used by QueryEngine::Execute(text) to
-/// front-run the parser with positioned diagnostics.
-DiagnosticList AnalyzeQueryText(const std::string& text);
-
-/// One WHERE equality predicate with the 1-based position of its attribute
-/// token — the anchor for the plan analyzer's dead-predicate warnings
-/// ("query:L:C: warning: ..."). Key/value carry the parser's normalization
-/// (lowercased key, uppercased value) so EXPLAIN can compare them against
-/// catalog metadata exactly the way execution would.
-struct AttrSite {
-  int line = 1;
-  int col = 1;
-  bool secondary = false;  // predicate of the temporal clause's pattern
-  std::string key;
-  std::string value;
-};
-
-/// AnalyzeQueryText plus the analysis facts EXPLAIN and the continuous-query
-/// layer consume: the position of every WHERE predicate in textual order,
-/// the WATCH/WINDOW facts, and the position of the video-name token. All
-/// facts are only meaningful when `diags` is empty (the walk stops at the
-/// first error).
-struct QueryAnalysis {
-  DiagnosticList diags;
-  std::vector<AttrSite> attr_sites;
-  /// The text carries the WATCH prefix (a continuous query).
-  bool watch = false;
-  /// WINDOW bound in seconds; 0 when absent (unbounded).
-  double window_sec = 0.0;
-  /// 1-based position of the video-name token after FROM — the anchor for
-  /// positioned watch-registration diagnostics ("query:L:C: ..." when a
-  /// watch names an unregistered video).
-  int video_line = 1;
-  int video_col = 1;
-};
-QueryAnalysis AnalyzeQueryTextWithFacts(const std::string& text);
+// The query-text analyzer is the parser: AnalyzeQueryText and
+// AnalyzeQueryTextWithFacts are declared in query/parser.h.
 
 /// Pre-execution plan verification (the preprocessor's contract, checked
 /// statically): the plan's video must be registered, and both its event
@@ -61,23 +18,12 @@ QueryAnalysis AnalyzeQueryTextWithFacts(const std::string& text);
 /// execution would have failed with, but before the result cache is
 /// consulted or any extraction engine fires. Read-only: verification never
 /// mutates the catalog.
-Status VerifyPlan(const ParsedQuery& query, const model::VideoCatalog& catalog,
-                  const extensions::ExtensionRegistry& registry);
-
-/// Snapshot-read variant: the same verification (identical error messages)
-/// evaluated against an immutable CatalogSnapshot instead of the live
-/// catalog. Extraction providers still count as satisfiable so that a
-/// snapshot read fails with the execution layer's typed "extraction needs a
-/// live query" error, not a misleading NotFound.
-Status VerifyPlan(const ParsedQuery& query, const CatalogSnapshot& snapshot,
-                  const extensions::ExtensionRegistry& registry);
-
-/// Sharded-read variant: verifies the plan against the shard of `snapshots`
-/// owning the plan's video (shard 0 when no shard holds it, so the NotFound
-/// is byte-identical to single-catalog). The verdict — message and code —
-/// always equals VerifyPlan over the owning shard's CatalogSnapshot.
-/// InvalidArgument when `snapshots` is empty.
-Status VerifyPlan(const ParsedQuery& query, const ShardedSnapshotSet& snapshots,
+///
+/// Over a snapshot, extraction providers still count as satisfiable so that
+/// a snapshot read fails with the execution layer's typed "extraction needs
+/// a live query" error, not a misleading NotFound. Over a sharded set the
+/// verdict is the owning shard's (ReadSurface::Resolve).
+Status VerifyPlan(const ParsedQuery& query, const ReadSurface& surface,
                   const extensions::ExtensionRegistry& registry);
 
 }  // namespace cobra::query

@@ -17,24 +17,6 @@ uint64_t DoubleBits(double d) {
   return u;
 }
 
-const char* TemporalOpKeyword(TemporalOp op) {
-  switch (op) {
-    case TemporalOp::kDuring:
-      return "DURING";
-    case TemporalOp::kOverlapping:
-      return "OVERLAPPING";
-    case TemporalOp::kBefore:
-      return "BEFORE";
-    case TemporalOp::kAfter:
-      return "AFTER";
-    case TemporalOp::kContaining:
-      return "CONTAINING";
-    case TemporalOp::kNone:
-      break;
-  }
-  return "";
-}
-
 void AppendWhere(std::string* text, const EventPattern& pattern) {
   bool first = true;
   for (const auto& [key, value] : pattern.attr_equals) {
@@ -53,13 +35,12 @@ ContinuousQueryManager::ContinuousQueryManager(const QueryEngine* engine,
 
 void ContinuousQueryManager::Attach(QueryEngine* engine) {
   engine->set_watch_handler(
-      [this](const ParsedQuery& query, const QueryAnalysis& analysis) {
-        return Register(query, analysis);
-      });
+      [this](const QueryAnalysis& analysis) { return Register(analysis); });
 }
 
 Result<uint64_t> ContinuousQueryManager::Register(
-    const ParsedQuery& query, const QueryAnalysis& analysis) {
+    const QueryAnalysis& analysis) {
+  const ParsedQuery& query = analysis.parsed;
   if (!query.watch) {
     return Status::InvalidArgument("not a WATCH query");
   }
@@ -91,8 +72,7 @@ Result<uint64_t> ContinuousQueryManager::Register(
 Result<uint64_t> ContinuousQueryManager::RegisterText(const std::string& text) {
   const QueryAnalysis analysis = AnalyzeQueryTextWithFacts(text);
   COBRA_RETURN_IF_ERROR(analysis.diags.ToStatus("query"));
-  COBRA_ASSIGN_OR_RETURN(ParsedQuery parsed, ParseQuery(text));
-  return Register(parsed, analysis);
+  return Register(analysis);
 }
 
 Status ContinuousQueryManager::Unregister(uint64_t id) {

@@ -10,7 +10,6 @@
 #include "base/status.h"
 #include "cobra/video_model.h"
 #include "kernel/catalog.h"
-#include "query/analyzer.h"
 #include "query/engine.h"
 #include "query/parser.h"
 #include "query/snapshot.h"
@@ -80,13 +79,13 @@ class ContinuousQueryManager {
   /// construction engine).
   void Attach(QueryEngine* engine);
 
-  /// Registers a WATCH query. The video must already be registered — the
-  /// failure is positioned at the query's video token ("query:L:C: error:
-  /// no video named ..."); the watched event *types* need not exist yet (a
-  /// watch waits for future data). Returns the 1-based watch id.
-  Result<uint64_t> Register(const ParsedQuery& query,
-                            const QueryAnalysis& analysis);
-  /// Analyze + parse + Register. How a non-server host registers from text.
+  /// Registers the parse of a WATCH query. The video must already be
+  /// registered — the failure is positioned at the query's video token
+  /// ("query:L:C: error: no video named ..."); the watched event *types*
+  /// need not exist yet (a watch waits for future data). Returns the
+  /// 1-based watch id.
+  Result<uint64_t> Register(const QueryAnalysis& analysis);
+  /// Parse + Register. How a non-server host registers from text.
   Result<uint64_t> RegisterText(const std::string& text);
 
   Status Unregister(uint64_t id);

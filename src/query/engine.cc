@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
-#include <functional>
 #include <iterator>
 #include <utility>
 
@@ -11,68 +10,39 @@
 #include "base/strings.h"
 #include "base/trace.h"
 #include "kernel/persist.h"
-#include "query/analyzer.h"
-#include "query/snapshot.h"
 
 namespace cobra::query {
 
 namespace {
 
-const char* TemporalOpName(TemporalOp op) {
-  switch (op) {
-    case TemporalOp::kNone:
-      return "none";
-    case TemporalOp::kDuring:
-      return "during";
-    case TemporalOp::kOverlapping:
-      return "overlapping";
-    case TemporalOp::kBefore:
-      return "before";
-    case TemporalOp::kAfter:
-      return "after";
-    case TemporalOp::kContaining:
-      return "containing";
+/// The storage verb `text` starts with — "PERSIST" or "RECOVER", any case,
+/// after leading blanks — with `rest` set to the trimmed text after it; ""
+/// for retrieval text. The one scan both the live dispatch and the
+/// read-only rejection use.
+std::string StorageVerb(std::string_view text, std::string_view* rest) {
+  text = StrTrim(text);
+  size_t len = 0;
+  while (len < text.size() &&
+         std::isalpha(static_cast<unsigned char>(text[len])) != 0) {
+    ++len;
   }
-  return "?";
-}
-
-/// Minimal JSON string escaper for the EXPLAIN export (video names and
-/// warning texts may carry quotes); output always satisfies ValidateJson.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", static_cast<unsigned>(c));
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+  std::string verb = ToUpperAscii(text.substr(0, len));
+  if (verb != "PERSIST" && verb != "RECOVER") return "";
+  *rest = StrTrim(text.substr(len));
+  return verb;
 }
 
 /// Sentinel for "no static upper bound" (dynamic extraction may materialize
 /// any number of events). Rendered as `*` in text and -1 in JSON, matching
 /// the trace layer's convention.
 constexpr uint64_t kNoBound = ~uint64_t{0};
+
+/// `"static_hi":N`, with -1 for kNoBound.
+std::string StaticHiJson(uint64_t hi) {
+  return hi == kNoBound ? std::string("\"static_hi\":-1")
+                        : StrFormat("\"static_hi\":%llu",
+                                    static_cast<unsigned long long>(hi));
+}
 
 std::string IntervalText(uint64_t lo, uint64_t hi) {
   if (hi == kNoBound) {
@@ -95,14 +65,11 @@ struct PatternReport {
   std::vector<std::string> warnings;
 };
 
-PatternReport AnalyzePattern(
-    const EventPattern& pattern, model::VideoId video, bool secondary,
-    const std::vector<AttrSite>& sites,
-    const std::function<bool(model::VideoId, const std::string&)>& has_events,
-    const std::function<Result<std::vector<model::EventRecord>>(
-        model::VideoId, const std::string&)>& events) {
+PatternReport AnalyzePattern(const EventPattern& pattern, model::VideoId video,
+                             bool secondary, const std::vector<AttrSite>& sites,
+                             const ReadSurface& source) {
   PatternReport report;
-  if (!has_events(video, pattern.type)) {
+  if (!source.HasEvents(video, pattern.type)) {
     // VerifyPlan already proved a provider exists; how many events it would
     // materialize is unknowable statically.
     report.deferred = true;
@@ -110,9 +77,10 @@ PatternReport AnalyzePattern(
     report.hi = kNoBound;
     return report;
   }
-  Result<std::vector<model::EventRecord>> rows = events(video, pattern.type);
+  Result<std::vector<model::EventRecord>> rows =
+      source.Events(video, pattern.type);
   if (!rows.ok()) {
-    // Metadata raced away between has_events and the read; stay sound by
+    // Metadata raced away between HasEvents and the read; stay sound by
     // claiming nothing.
     report.deferred = true;
     return report;
@@ -147,178 +115,7 @@ PatternReport AnalyzePattern(
   return report;
 }
 
-/// Shared body of the three ExecuteExplain overloads; the callbacks abstract
-/// the read surface exactly like VerifyPlanOver.
-Result<QueryResult> ExplainOver(
-    const ParsedQuery& query, const std::vector<AttrSite>& sites,
-    const model::VideoDescriptor& video,
-    const std::function<bool(model::VideoId, const std::string&)>& has_events,
-    const std::function<Result<std::vector<model::EventRecord>>(
-        model::VideoId, const std::string&)>& events) {
-  QueryResult result;
-  std::string text =
-      StrFormat("explain: type=%s video=%s (static analysis only; nothing "
-                "executed)\n",
-                query.primary.type.c_str(), query.video.c_str());
-  std::string json = StrFormat("{\"explain\":{\"video\":\"%s\",\"operators\":[",
-                               JsonEscape(query.video).c_str());
-  std::vector<std::string> warnings;
-
-  auto emit = [&text, &json](const char* op, const std::string& type_or_detail,
-                             uint64_t lo, uint64_t hi, bool first) {
-    text += StrFormat("  %s %s static=%s\n", op, type_or_detail.c_str(),
-                      IntervalText(lo, hi).c_str());
-    if (!first) json += ',';
-    json += StrFormat("{\"op\":\"%s\",\"detail\":\"%s\",\"static_lo\":%llu,",
-                      op, JsonEscape(type_or_detail).c_str(),
-                      static_cast<unsigned long long>(lo));
-    json += hi == kNoBound
-                ? std::string("\"static_hi\":-1}")
-                : StrFormat("\"static_hi\":%llu}",
-                            static_cast<unsigned long long>(hi));
-  };
-
-  const PatternReport primary = AnalyzePattern(
-      query.primary, video.id, /*secondary=*/false, sites, has_events, events);
-  const std::string primary_scan =
-      primary.deferred
-          ? StrFormat("type=%s events=? (dynamic extraction deferred to a "
-                      "live query)",
-                      query.primary.type.c_str())
-          : StrFormat("type=%s events=%llu", query.primary.type.c_str(),
-                      static_cast<unsigned long long>(primary.scan_rows));
-  emit("scan", primary_scan, primary.deferred ? 0 : primary.scan_rows,
-       primary.deferred ? kNoBound : primary.scan_rows, /*first=*/true);
-  emit("filter", "type=" + query.primary.type, primary.lo, primary.hi,
-       /*first=*/false);
-  for (const std::string& w : primary.warnings) warnings.push_back(w);
-
-  uint64_t final_lo = primary.lo;
-  uint64_t final_hi = primary.hi;
-  if (query.temporal_op != TemporalOp::kNone) {
-    const PatternReport secondary =
-        AnalyzePattern(query.secondary, video.id, /*secondary=*/true, sites,
-                       has_events, events);
-    const std::string secondary_scan =
-        secondary.deferred
-            ? StrFormat("type=%s events=? (dynamic extraction deferred to a "
-                        "live query)",
-                        query.secondary.type.c_str())
-            : StrFormat("type=%s events=%llu", query.secondary.type.c_str(),
-                        static_cast<unsigned long long>(secondary.scan_rows));
-    emit("scan", secondary_scan, secondary.deferred ? 0 : secondary.scan_rows,
-         secondary.deferred ? kNoBound : secondary.scan_rows, /*first=*/false);
-    emit("filter", "type=" + query.secondary.type, secondary.lo, secondary.hi,
-         /*first=*/false);
-    for (const std::string& w : secondary.warnings) warnings.push_back(w);
-    // The temporal semijoin keeps a subset of the filtered primaries, and
-    // keeps none when the secondary side is provably empty.
-    final_lo = 0;
-    final_hi = secondary.hi == 0 ? 0 : primary.hi;
-    emit("temporal_join",
-         StrFormat("op=%s", TemporalOpName(query.temporal_op)), final_lo,
-         final_hi, /*first=*/false);
-  }
-
-  text += StrFormat("  result static=%s\n",
-                    IntervalText(final_lo, final_hi).c_str());
-  for (const std::string& w : warnings) {
-    text += w;
-    text += '\n';
-  }
-  if (final_hi == 0) {
-    text += "note: provably empty result — execution would return 0 "
-            "segments\n";
-  }
-
-  json += StrFormat("],\"result\":{\"static_lo\":%llu,",
-                    static_cast<unsigned long long>(final_lo));
-  json += final_hi == kNoBound
-              ? std::string("\"static_hi\":-1}")
-              : StrFormat("\"static_hi\":%llu}",
-                          static_cast<unsigned long long>(final_hi));
-  json += ",\"warnings\":[";
-  for (size_t i = 0; i < warnings.size(); ++i) {
-    if (i > 0) json += ',';
-    json += '"';
-    json += JsonEscape(warnings[i]);
-    json += '"';
-  }
-  json += StrFormat("],\"provably_empty\":%s}}",
-                    final_hi == 0 ? "true" : "false");
-
-  result.profile_text = std::move(text);
-  result.profile_json = std::move(json);
-  return result;
-}
-
 }  // namespace
-
-/// Read-surface interface the shared evaluator executes against. The two
-/// implementations are below; both are stateless beyond the pointers they
-/// hold, so a source is constructed on the stack per execution.
-struct QueryEngine::EventSource {
-  virtual ~EventSource() = default;
-  virtual Result<model::VideoDescriptor> FindVideo(
-      const std::string& name) = 0;
-  virtual Result<std::vector<model::EventRecord>> Events(
-      model::VideoId video, const std::string& type) = 0;
-  /// Preprocessor step: make events of `type` available, or fail the same
-  /// way VerifyPlan predicted.
-  virtual Status Ensure(model::VideoId video, const std::string& type,
-                        MethodPreference preference, QueryResult* result) = 0;
-  virtual uint64_t EventVersion() const = 0;
-};
-
-/// Live catalog: reads under the catalog's own locks, extracts dynamically.
-struct QueryEngine::LiveSource final : QueryEngine::EventSource {
-  explicit LiveSource(QueryEngine* e) : engine(e) {}
-  Result<model::VideoDescriptor> FindVideo(const std::string& name) override {
-    return engine->catalog_->FindVideo(name);
-  }
-  Result<std::vector<model::EventRecord>> Events(
-      model::VideoId video, const std::string& type) override {
-    return engine->catalog_->Events(video, type);
-  }
-  Status Ensure(model::VideoId video, const std::string& type,
-                MethodPreference preference, QueryResult* result) override {
-    return engine->EnsureAvailable(video, type, preference, result);
-  }
-  uint64_t EventVersion() const override {
-    return engine->catalog_->event_version();
-  }
-  QueryEngine* engine;
-};
-
-/// Immutable snapshot: lock-free reads, no extraction (a snapshot cannot be
-/// mutated — a missing-but-extractable type is a typed FailedPrecondition).
-struct QueryEngine::SnapshotSource final : QueryEngine::EventSource {
-  SnapshotSource(const CatalogSnapshot& snap,
-                 const extensions::ExtensionRegistry& reg)
-      : snapshot(snap), registry(reg) {}
-  Result<model::VideoDescriptor> FindVideo(const std::string& name) override {
-    return snapshot.FindVideo(name);
-  }
-  Result<std::vector<model::EventRecord>> Events(
-      model::VideoId video, const std::string& type) override {
-    return snapshot.Events(video, type);
-  }
-  Status Ensure(model::VideoId video, const std::string& type,
-                MethodPreference /*preference*/,
-                QueryResult* /*result*/) override {
-    if (snapshot.HasEvents(video, type)) return Status::OK();
-    if (!registry.Providers(type).empty()) {
-      return Status::FailedPrecondition(
-          "snapshot read: no metadata for '" + type +
-          "' — dynamic extraction requires a live read-write query");
-    }
-    return Status::NotFound("no metadata and no extraction method for '" +
-                            type + "'");
-  }
-  uint64_t EventVersion() const override { return snapshot.event_version(); }
-  const CatalogSnapshot& snapshot;
-  const extensions::ExtensionRegistry& registry;
-};
 
 QueryEngine::QueryEngine(model::VideoCatalog* catalog,
                          extensions::ExtensionRegistry* registry,
@@ -341,46 +138,40 @@ QueryEngine::~QueryEngine() {
   }
 }
 
+Result<QueryAnalysis> ParseReadOnlyQuery(const std::string& text) {
+  std::string_view rest;
+  const std::string verb = StorageVerb(text, &rest);
+  if (!verb.empty()) {
+    return Status::FailedPrecondition(
+        verb + " is a storage command — snapshot reads are read-only");
+  }
+  QueryAnalysis analysis = AnalyzeQueryTextWithFacts(text);
+  COBRA_RETURN_IF_ERROR(analysis.diags.ToStatus("query"));
+  return analysis;
+}
+
 Result<QueryResult> QueryEngine::Execute(const std::string& query_text) {
   // PERSIST / RECOVER are storage commands, not retrieval queries: they
-  // are dispatched before the analyzer/parser, so the retrieval grammar —
-  // and the accept-parity the analyzer tests pin over it — is untouched.
-  const std::string_view text = StrTrim(query_text);
-  size_t verb_len = 0;
-  while (verb_len < text.size() &&
-         std::isalpha(static_cast<unsigned char>(text[verb_len])) != 0) {
-    ++verb_len;
-  }
-  const std::string verb = ToUpperAscii(text.substr(0, verb_len));
-  if (verb == "PERSIST" || verb == "RECOVER") {
-    return ExecuteStorageCommand(verb == "PERSIST",
-                                 StrTrim(text.substr(verb_len)));
-  }
-  // Static analysis first: malformed text is rejected here with
-  // line:column diagnostics, before the parser (let alone any operator)
-  // runs. A text the analyzer accepts always parses (analyzer_test pins
-  // accept-parity over the fuzz corpora).
+  // are dispatched before the retrieval grammar, which never sees them.
+  std::string_view rest;
+  const std::string verb = StorageVerb(query_text, &rest);
+  if (!verb.empty()) return ExecuteStorageCommand(verb == "PERSIST", rest);
+  // One parse: malformed text is rejected here with line:column
+  // diagnostics, before any operator runs.
   const QueryAnalysis analysis = AnalyzeQueryTextWithFacts(query_text);
   COBRA_RETURN_IF_ERROR(analysis.diags.ToStatus("query"));
-  COBRA_ASSIGN_OR_RETURN(ParsedQuery parsed, ParseQuery(query_text));
-  if (parsed.watch) {
+  if (analysis.parsed.watch && watch_handler_ != nullptr) {
     // Continuous query: hand it to the installed host instead of running
     // the one-shot evaluator; matches arrive as notifications.
-    if (watch_handler_ == nullptr) {
-      return Status::FailedPrecondition(
-          "WATCH needs a continuous-query host — submit it through the "
-          "query server");
-    }
-    COBRA_ASSIGN_OR_RETURN(const uint64_t id,
-                           watch_handler_(parsed, analysis));
+    COBRA_ASSIGN_OR_RETURN(const uint64_t id, watch_handler_(analysis));
     QueryResult result;
     result.watch_id = id;
     result.info = StrFormat("watch %llu registered",
                             static_cast<unsigned long long>(id));
     return result;
   }
-  if (parsed.explain) return ExecuteExplain(parsed, analysis.attr_sites);
-  return Execute(parsed);
+  return Dispatch(analysis.parsed, analysis.attr_sites, *catalog_,
+                  /*live=*/true);
 }
 
 Result<kernel::PersistentStore*> QueryEngine::EnsureStore(
@@ -444,8 +235,7 @@ Result<QueryResult> QueryEngine::ExecuteStorageCommand(bool persist,
   kernel::Catalog* kcat = catalog_->session().catalog();
   if (persist) {
     COBRA_ASSIGN_OR_RETURN(kernel::PersistentStore * store, EnsureStore(dir));
-    COBRA_RETURN_IF_ERROR(
-        store->Checkpoint(*kcat, catalog_->SerializeState()));
+    COBRA_RETURN_IF_ERROR(catalog_->Checkpoint(store));
     result.info = StrFormat(
         "persisted %zu videos, %zu bats into %s (lsn %llu)",
         catalog_->Videos().size(), kcat->Names().size(), dir.c_str(),
@@ -481,15 +271,20 @@ Result<QueryResult> QueryEngine::ExecuteStorageCommand(bool persist,
   return result;
 }
 
-Status QueryEngine::EnsureAvailable(model::VideoId video,
-                                    const std::string& type,
-                                    MethodPreference preference,
-                                    QueryResult* result) {
-  if (catalog_->HasEvents(video, type)) return Status::OK();
+Status QueryEngine::Ensure(const ReadSurface& source, bool live,
+                           model::VideoId video, const std::string& type,
+                           MethodPreference preference,
+                           QueryResult* result) const {
+  if (source.HasEvents(video, type)) return Status::OK();
   auto providers = registry_->Providers(type);
   if (providers.empty()) {
     return Status::NotFound("no metadata and no extraction method for '" +
                             type + "'");
+  }
+  if (!live) {
+    return Status::FailedPrecondition(
+        "snapshot read: no metadata for '" + type +
+        "' — dynamic extraction requires a live read-write query");
   }
   // High-level optimization: pick the method by the requested preference.
   extensions::SemanticExtension* best = providers[0];
@@ -542,10 +337,10 @@ bool QueryEngine::TemporalMatch(TemporalOp op,
 namespace {
 
 /// Morsel-parallel, order-preserving filter over an event list.
+template <typename Keep>
 std::vector<model::EventRecord> FilterEvents(
     const kernel::ExecContext& exec,
-    const std::vector<model::EventRecord>& events,
-    const std::function<bool(const model::EventRecord&)>& keep) {
+    const std::vector<model::EventRecord>& events, const Keep& keep) {
   const size_t num = exec.NumMorsels(events.size());
   std::vector<std::vector<model::EventRecord>> parts(num);
   kernel::ForEachMorsel(
@@ -601,7 +396,7 @@ size_t QueryEngine::cache_capacity() const {
   return cache_capacity_;
 }
 
-void QueryEngine::EvictToCapacity(size_t capacity) {
+void QueryEngine::EvictToCapacity(size_t capacity) const {
   while (lru_.size() > capacity) {
     cache_map_.erase(lru_.back().key);
     lru_.pop_back();
@@ -622,7 +417,7 @@ void QueryEngine::ClearCache() {
 }
 
 QueryEngine::CacheOutcome QueryEngine::CacheLookup(
-    const std::string& key, std::vector<model::EventRecord>* segments) {
+    const std::string& key, std::vector<model::EventRecord>* segments) const {
   MutexLock lock(cache_mu_);
   if (cache_capacity_ == 0) return CacheOutcome::kDisabled;
   auto it = cache_map_.find(key);
@@ -644,7 +439,7 @@ QueryEngine::CacheOutcome QueryEngine::CacheLookup(
 
 void QueryEngine::CacheStore(const std::string& key,
                              const std::vector<model::EventRecord>& segments,
-                             uint64_t event_version) {
+                             uint64_t event_version) const {
   MutexLock lock(cache_mu_);
   if (cache_capacity_ == 0) return;
   lru_.push_front(CacheEntry{key, segments, event_version});
@@ -653,28 +448,53 @@ void QueryEngine::CacheStore(const std::string& key,
 }
 
 Result<QueryResult> QueryEngine::Execute(const ParsedQuery& query) {
+  return Dispatch(query, {}, *catalog_, /*live=*/true);
+}
+
+Result<QueryResult> QueryEngine::ExecuteSnapshot(
+    const std::string& query_text, const ReadSurface& surface) const {
+  COBRA_ASSIGN_OR_RETURN(const QueryAnalysis analysis,
+                         ParseReadOnlyQuery(query_text));
+  return Dispatch(analysis.parsed, analysis.attr_sites, surface,
+                  /*live=*/false);
+}
+
+Result<QueryResult> QueryEngine::ExecuteSnapshot(
+    const ParsedQuery& query, const ReadSurface& surface,
+    const kernel::ExecContext& exec) const {
+  return Run(query, surface, exec, /*live=*/false);
+}
+
+Result<QueryResult> QueryEngine::Dispatch(const ParsedQuery& query,
+                                          const std::vector<AttrSite>& sites,
+                                          const ReadSurface& surface,
+                                          bool live) const {
   if (query.watch) {
     return Status::FailedPrecondition(
-        "WATCH needs a continuous-query host — submit it through the "
-        "query server");
+        live ? "WATCH needs a continuous-query host — submit it through the "
+               "query server"
+             : "WATCH is a continuous query — a snapshot read is one-shot");
   }
-  // EXPLAIN without source text: same static report, unpositioned warnings.
-  if (query.explain) return ExecuteExplain(query, {});
-  if (!query.profile) return ExecuteImpl(query, exec_);
+  if (query.explain) return ExecuteExplain(query, sites, surface);
+  if (!query.profile) return Run(query, surface, exec_, live);
   // PROFILE: run under a per-query sink and attach its exports. The sink
   // lives on the stack — profiles are never stored in the result cache.
   trace::TraceSink sink;
   kernel::ExecContext exec = exec_;
   exec.trace = &sink;
   exec.trace_parent = nullptr;
-  COBRA_ASSIGN_OR_RETURN(QueryResult result, ExecuteImpl(query, exec));
+  COBRA_ASSIGN_OR_RETURN(QueryResult result, Run(query, surface, exec, live));
   result.profile_text = sink.ToText();
   result.profile_json = sink.ToJson();
   return result;
 }
 
-Result<QueryResult> QueryEngine::ExecuteImpl(const ParsedQuery& query,
-                                             const kernel::ExecContext& exec) {
+Result<QueryResult> QueryEngine::Run(const ParsedQuery& query,
+                                     const ReadSurface& surface,
+                                     const kernel::ExecContext& exec,
+                                     bool live) const {
+  COBRA_ASSIGN_OR_RETURN(const ReadSurface source,
+                         surface.Resolve(query.video));
   trace::SpanGuard span(exec.trace, exec.trace_parent, "query.execute");
   if (span.enabled()) {
     span.Detail(StrFormat("type=%s video=%s", query.primary.type.c_str(),
@@ -683,6 +503,7 @@ Result<QueryResult> QueryEngine::ExecuteImpl(const ParsedQuery& query,
   const kernel::ExecContext qctx = exec.WithTraceParent(span.span());
 
   QueryResult result;
+  result.info = source.EpochStamp();
 
   // Pre-execution plan verification (the paper's preprocessor contract):
   // reject a plan whose video is unknown or whose event types have neither
@@ -691,57 +512,64 @@ Result<QueryResult> QueryEngine::ExecuteImpl(const ParsedQuery& query,
   // effects, so it is safe (and cheap) on the cached path too.
   {
     trace::SpanGuard verify(qctx.trace, qctx.trace_parent, "query.verify");
-    const Status verdict = VerifyPlan(query, *catalog_, *registry_);
+    const Status verdict = VerifyPlan(query, source, *registry_);
     if (verify.enabled()) {
       verify.Detail(verdict.ok() ? "ok" : verdict.message());
     }
     COBRA_RETURN_IF_ERROR(verdict);
   }
 
-  const std::string cache_key = CacheKey(query);
-  std::vector<model::EventRecord> cached;
-  const CacheOutcome outcome = CacheLookup(cache_key, &cached);
-  if (outcome == CacheOutcome::kHit) {
-    result.segments = std::move(cached);
-    result.cache_hit = true;
-    // Served from the cache: the profile states so instead of replaying
-    // the timings recorded when the entry was originally computed.
-    span.FromCache();
-    span.RowsOut(result.segments.size());
-    if (span.enabled()) {
+  // Only the live path consults the cache. A read-only read matches the
+  // live span shape with cache capacity 0 (no query.cache_lookup span): the
+  // snapshot IS its consistency story — identical epochs yield identical
+  // bytes.
+  std::string cache_key;
+  if (live) {
+    cache_key = CacheKey(query);
+    std::vector<model::EventRecord> cached;
+    const CacheOutcome outcome = CacheLookup(cache_key, &cached);
+    if (outcome == CacheOutcome::kHit) {
+      result.segments = std::move(cached);
+      result.cache_hit = true;
+      // Served from the cache: the profile states so instead of replaying
+      // the timings recorded when the entry was originally computed.
+      span.FromCache();
+      span.RowsOut(result.segments.size());
+      if (span.enabled()) {
+        trace::SpanGuard lookup(qctx.trace, qctx.trace_parent,
+                                "query.cache_lookup");
+        lookup.Detail("hit");
+        lookup.FromCache();
+        lookup.RowsOut(result.segments.size());
+      }
+      return result;
+    }
+    if (outcome != CacheOutcome::kDisabled && span.enabled()) {
       trace::SpanGuard lookup(qctx.trace, qctx.trace_parent,
                               "query.cache_lookup");
-      lookup.Detail("hit");
-      lookup.FromCache();
-      lookup.RowsOut(result.segments.size());
+      lookup.Detail(outcome == CacheOutcome::kStale ? "stale" : "miss");
     }
-    return result;
   }
-  if (outcome != CacheOutcome::kDisabled && span.enabled()) {
-    trace::SpanGuard lookup(qctx.trace, qctx.trace_parent,
-                            "query.cache_lookup");
-    lookup.Detail(outcome == CacheOutcome::kStale ? "stale" : "miss");
-  }
-  LiveSource source(this);
   uint64_t version_at_read = 0;
   COBRA_ASSIGN_OR_RETURN(
       result.segments,
-      EvaluateOver(query, qctx, source, &result, &version_at_read));
+      EvaluateOver(query, qctx, source, live, &result, &version_at_read));
   span.RowsOut(result.segments.size());
-  CacheStore(cache_key, result.segments, version_at_read);
+  if (live) CacheStore(cache_key, result.segments, version_at_read);
   return result;
 }
 
 Result<std::vector<model::EventRecord>> QueryEngine::EvaluateOver(
     const ParsedQuery& query, const kernel::ExecContext& qctx,
-    EventSource& source, QueryResult* result, uint64_t* version_at_read) {
+    const ReadSurface& source, bool live, QueryResult* result,
+    uint64_t* version_at_read) const {
   COBRA_ASSIGN_OR_RETURN(model::VideoDescriptor video,
                          source.FindVideo(query.video));
 
   {
     trace::SpanGuard prep(qctx.trace, qctx.trace_parent, "query.preprocess");
-    COBRA_RETURN_IF_ERROR(source.Ensure(video.id, query.primary.type,
-                                        query.preference, result));
+    COBRA_RETURN_IF_ERROR(Ensure(source, live, video.id, query.primary.type,
+                                 query.preference, result));
     if (prep.enabled()) {
       prep.Detail("type=" + query.primary.type +
                   (result->extracted_dynamically
@@ -781,8 +609,9 @@ Result<std::vector<model::EventRecord>> QueryEngine::EvaluateOver(
     const size_t methods_before = result->methods_invoked.size();
     {
       trace::SpanGuard prep(qctx.trace, qctx.trace_parent, "query.preprocess");
-      COBRA_RETURN_IF_ERROR(source.Ensure(video.id, query.secondary.type,
-                                          query.preference, result));
+      COBRA_RETURN_IF_ERROR(Ensure(source, live, video.id,
+                                   query.secondary.type, query.preference,
+                                   result));
       if (prep.enabled()) {
         prep.Detail("type=" + query.secondary.type +
                     (result->methods_invoked.size() > methods_before
@@ -810,7 +639,7 @@ Result<std::vector<model::EventRecord>> QueryEngine::EvaluateOver(
     trace::SpanGuard join(qctx.trace, qctx.trace_parent,
                           "query.temporal_join");
     if (join.enabled()) {
-      join.Detail(std::string("op=") + TemporalOpName(query.temporal_op));
+      join.Detail("op=" + ToLowerAscii(TemporalOpKeyword(query.temporal_op)));
     }
     join.RowsIn(filtered.size() + secondary.size());
     join.Morsels(qctx.NumMorsels(filtered.size()));
@@ -831,175 +660,96 @@ Result<std::vector<model::EventRecord>> QueryEngine::EvaluateOver(
   return filtered;
 }
 
-Result<QueryResult> QueryEngine::ExecuteSnapshot(
-    const std::string& query_text, const CatalogSnapshot& snapshot) const {
-  // Storage commands mutate; a snapshot read rejects them with a typed
-  // error instead of silently parsing them as retrieval text.
-  const std::string_view text = StrTrim(query_text);
-  size_t verb_len = 0;
-  while (verb_len < text.size() &&
-         std::isalpha(static_cast<unsigned char>(text[verb_len])) != 0) {
-    ++verb_len;
-  }
-  const std::string verb = ToUpperAscii(text.substr(0, verb_len));
-  if (verb == "PERSIST" || verb == "RECOVER") {
-    return Status::FailedPrecondition(
-        verb + " is a storage command — snapshot reads are read-only");
-  }
-  const QueryAnalysis analysis = AnalyzeQueryTextWithFacts(query_text);
-  COBRA_RETURN_IF_ERROR(analysis.diags.ToStatus("query"));
-  COBRA_ASSIGN_OR_RETURN(ParsedQuery parsed, ParseQuery(query_text));
-  if (parsed.explain) {
-    return ExecuteExplain(parsed, analysis.attr_sites, snapshot);
-  }
-  return ExecuteSnapshot(parsed, snapshot);
-}
-
-Result<QueryResult> QueryEngine::ExecuteSnapshot(
-    const ParsedQuery& query, const CatalogSnapshot& snapshot) const {
-  if (query.watch) {
-    return Status::FailedPrecondition(
-        "WATCH is a continuous query — a snapshot read is one-shot");
-  }
-  if (query.explain) return ExecuteExplain(query, {}, snapshot);
-  if (!query.profile) return ExecuteSnapshot(query, snapshot, exec_);
-  // PROFILE under a per-query sink, exactly like the live path.
-  trace::TraceSink sink;
-  kernel::ExecContext exec = exec_;
-  exec.trace = &sink;
-  exec.trace_parent = nullptr;
-  COBRA_ASSIGN_OR_RETURN(QueryResult result,
-                         ExecuteSnapshot(query, snapshot, exec));
-  result.profile_text = sink.ToText();
-  result.profile_json = sink.ToJson();
-  return result;
-}
-
-Result<QueryResult> QueryEngine::ExecuteSnapshot(
-    const std::string& query_text, const ShardedSnapshotSet& snapshots) const {
-  // Same storage-command rejection as the unsharded text path, before the
-  // retrieval grammar touches the text.
-  const std::string_view text = StrTrim(query_text);
-  size_t verb_len = 0;
-  while (verb_len < text.size() &&
-         std::isalpha(static_cast<unsigned char>(text[verb_len])) != 0) {
-    ++verb_len;
-  }
-  const std::string verb = ToUpperAscii(text.substr(0, verb_len));
-  if (verb == "PERSIST" || verb == "RECOVER") {
-    return Status::FailedPrecondition(
-        verb + " is a storage command — snapshot reads are read-only");
-  }
-  const QueryAnalysis analysis = AnalyzeQueryTextWithFacts(query_text);
-  COBRA_RETURN_IF_ERROR(analysis.diags.ToStatus("query"));
-  COBRA_ASSIGN_OR_RETURN(ParsedQuery parsed, ParseQuery(query_text));
-  if (parsed.explain) {
-    return ExecuteExplain(parsed, analysis.attr_sites, snapshots);
-  }
-  return ExecuteSnapshot(parsed, snapshots);
-}
-
-Result<QueryResult> QueryEngine::ExecuteSnapshot(
-    const ParsedQuery& query, const ShardedSnapshotSet& snapshots) const {
-  if (query.watch) {
-    return Status::FailedPrecondition(
-        "WATCH is a continuous query — a snapshot read is one-shot");
-  }
-  if (query.explain) return ExecuteExplain(query, {}, snapshots);
-  if (snapshots.empty()) {
-    return Status::InvalidArgument(
-        "sharded snapshot read needs at least one shard snapshot");
-  }
-  // Videos are partitioned across shards, so the whole plan (primary and
-  // secondary event reads alike) evaluates on the one shard owning the
-  // video; scatter below the per-shard catalog is the kernel exchange
-  // layer's job. OwnerOf falls back to shard 0 when no shard holds the
-  // name, keeping the NotFound message byte-identical to single-catalog.
-  const CatalogSnapshot& owner = snapshots.shard(snapshots.OwnerOf(query.video));
-  COBRA_ASSIGN_OR_RETURN(QueryResult result, ExecuteSnapshot(query, owner));
-  result.info = snapshots.EpochStamp();
-  return result;
-}
-
 Result<QueryResult> QueryEngine::ExecuteExplain(
-    const ParsedQuery& query, const std::vector<AttrSite>& sites) const {
+    const ParsedQuery& query, const std::vector<AttrSite>& sites,
+    const ReadSurface& surface) const {
+  COBRA_ASSIGN_OR_RETURN(const ReadSurface source,
+                         surface.Resolve(query.video));
   // Identical failure surface to execution: an unknown video or an
-  // unsatisfiable event type fails here exactly as Execute would.
-  COBRA_RETURN_IF_ERROR(VerifyPlan(query, *catalog_, *registry_));
-  COBRA_ASSIGN_OR_RETURN(model::VideoDescriptor video,
-                         catalog_->FindVideo(query.video));
-  return ExplainOver(
-      query, sites, video,
-      [this](model::VideoId id, const std::string& type) {
-        return catalog_->HasEvents(id, type);
-      },
-      [this](model::VideoId id, const std::string& type) {
-        return catalog_->Events(id, type);
-      });
-}
+  // unsatisfiable event type fails here exactly as execution would.
+  COBRA_RETURN_IF_ERROR(VerifyPlan(query, source, *registry_));
+  COBRA_ASSIGN_OR_RETURN(const model::VideoDescriptor video,
+                         source.FindVideo(query.video));
 
-Result<QueryResult> QueryEngine::ExecuteExplain(
-    const ParsedQuery& query, const std::vector<AttrSite>& sites,
-    const CatalogSnapshot& snapshot) const {
-  COBRA_RETURN_IF_ERROR(VerifyPlan(query, snapshot, *registry_));
-  COBRA_ASSIGN_OR_RETURN(model::VideoDescriptor video,
-                         snapshot.FindVideo(query.video));
-  return ExplainOver(
-      query, sites, video,
-      [&snapshot](model::VideoId id, const std::string& type) {
-        return snapshot.HasEvents(id, type);
-      },
-      [&snapshot](model::VideoId id, const std::string& type) {
-        return snapshot.Events(id, type);
-      });
-}
+  std::string text =
+      StrFormat("explain: type=%s video=%s (static analysis only; nothing "
+                "executed)\n",
+                query.primary.type.c_str(), query.video.c_str());
+  std::string json = "{\"explain\":{\"video\":";
+  AppendJsonString(query.video, &json);
+  json += ",\"operators\":[";
+  std::vector<std::string> warnings;
 
-Result<QueryResult> QueryEngine::ExecuteExplain(
-    const ParsedQuery& query, const std::vector<AttrSite>& sites,
-    const ShardedSnapshotSet& snapshots) const {
-  if (snapshots.empty()) {
-    return Status::InvalidArgument(
-        "sharded snapshot read needs at least one shard snapshot");
+  auto emit = [&text, &json](const char* op, const std::string& detail,
+                             uint64_t lo, uint64_t hi) {
+    text += StrFormat("  %s %s static=%s\n", op, detail.c_str(),
+                      IntervalText(lo, hi).c_str());
+    if (json.back() != '[') json += ',';
+    json += StrFormat("{\"op\":\"%s\",\"detail\":", op);
+    AppendJsonString(detail, &json);
+    json += StrFormat(",\"static_lo\":%llu,%s}",
+                      static_cast<unsigned long long>(lo),
+                      StaticHiJson(hi).c_str());
+  };
+  // One pattern's scan and filter operators, plus its dead predicates.
+  auto analyze = [&](const EventPattern& pattern, bool secondary) {
+    PatternReport report =
+        AnalyzePattern(pattern, video.id, secondary, sites, source);
+    emit("scan",
+         report.deferred
+             ? StrFormat("type=%s events=? (dynamic extraction deferred to a "
+                         "live query)",
+                         pattern.type.c_str())
+             : StrFormat("type=%s events=%llu", pattern.type.c_str(),
+                         static_cast<unsigned long long>(report.scan_rows)),
+         report.deferred ? 0 : report.scan_rows,
+         report.deferred ? kNoBound : report.scan_rows);
+    emit("filter", "type=" + pattern.type, report.lo, report.hi);
+    warnings.insert(warnings.end(), report.warnings.begin(),
+                    report.warnings.end());
+    return report;
+  };
+
+  const PatternReport primary = analyze(query.primary, /*secondary=*/false);
+  uint64_t final_lo = primary.lo;
+  uint64_t final_hi = primary.hi;
+  if (query.temporal_op != TemporalOp::kNone) {
+    const PatternReport secondary =
+        analyze(query.secondary, /*secondary=*/true);
+    // The temporal semijoin keeps a subset of the filtered primaries, and
+    // keeps none when the secondary side is provably empty.
+    final_lo = 0;
+    final_hi = secondary.hi == 0 ? 0 : primary.hi;
+    emit("temporal_join",
+         "op=" + ToLowerAscii(TemporalOpKeyword(query.temporal_op)), final_lo,
+         final_hi);
   }
-  // Same routing as execution: the whole plan is analyzed on the one shard
-  // owning the video, and the response is stamped with the read set's epoch
-  // vector. The report itself is byte-identical to the unsharded snapshot.
-  const CatalogSnapshot& owner =
-      snapshots.shard(snapshots.OwnerOf(query.video));
-  COBRA_ASSIGN_OR_RETURN(QueryResult result,
-                         ExecuteExplain(query, sites, owner));
-  result.info = snapshots.EpochStamp();
-  return result;
-}
 
-Result<QueryResult> QueryEngine::ExecuteSnapshot(
-    const ParsedQuery& query, const CatalogSnapshot& snapshot,
-    const kernel::ExecContext& exec) const {
-  trace::SpanGuard span(exec.trace, exec.trace_parent, "query.execute");
-  if (span.enabled()) {
-    span.Detail(StrFormat("type=%s video=%s", query.primary.type.c_str(),
-                          query.video.c_str()));
+  text += StrFormat("  result static=%s\n",
+                    IntervalText(final_lo, final_hi).c_str());
+  for (const std::string& w : warnings) {
+    text += w;
+    text += '\n';
   }
-  const kernel::ExecContext qctx = exec.WithTraceParent(span.span());
+  if (final_hi == 0) {
+    text += "note: provably empty result — execution would return 0 "
+            "segments\n";
+  }
+
+  json += StrFormat("],\"result\":{\"static_lo\":%llu,%s},\"warnings\":[",
+                    static_cast<unsigned long long>(final_lo),
+                    StaticHiJson(final_hi).c_str());
+  for (size_t i = 0; i < warnings.size(); ++i) {
+    if (i > 0) json += ',';
+    AppendJsonString(warnings[i], &json);
+  }
+  json += StrFormat("],\"provably_empty\":%s}}",
+                    final_hi == 0 ? "true" : "false");
 
   QueryResult result;
-  {
-    trace::SpanGuard verify(qctx.trace, qctx.trace_parent, "query.verify");
-    const Status verdict = VerifyPlan(query, snapshot, *registry_);
-    if (verify.enabled()) {
-      verify.Detail(verdict.ok() ? "ok" : verdict.message());
-    }
-    COBRA_RETURN_IF_ERROR(verdict);
-  }
-  // No cache consult — matches the live span shape with cache capacity 0
-  // (no query.cache_lookup span). The snapshot IS the consistency story:
-  // identical epochs always yield identical bytes.
-  SnapshotSource source(snapshot, *registry_);
-  uint64_t version_at_read = 0;
-  COBRA_ASSIGN_OR_RETURN(
-      result.segments,
-      EvaluateOver(query, qctx, source, &result, &version_at_read));
-  span.RowsOut(result.segments.size());
+  result.profile_text = std::move(text);
+  result.profile_json = std::move(json);
+  result.info = source.EpochStamp();
   return result;
 }
 

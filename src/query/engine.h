@@ -19,11 +19,9 @@
 #include "kernel/exec_context.h"
 #include "query/analyzer.h"
 #include "query/parser.h"
+#include "query/snapshot.h"
 
 namespace cobra::query {
-
-class CatalogSnapshot;
-class ShardedSnapshotSet;
 
 /// Result of a query: matching event-layer segments plus preprocessor
 /// diagnostics (which methods ran, and whether extraction happened
@@ -61,6 +59,11 @@ struct CacheStats {
   size_t capacity = 0;
 };
 
+/// The front every read-only entry point shares (ExecuteSnapshot(text) and
+/// the query server): a storage command (PERSIST/RECOVER) is a write and is
+/// rejected with FailedPrecondition; anything else is parsed, once.
+Result<QueryAnalysis> ParseReadOnlyQuery(const std::string& text);
+
 /// The conceptual layer: parses a retrieval query, runs the query
 /// preprocessor (checks whether the required metadata exists; when it does
 /// not, picks an extraction method by the cost/quality model and invokes the
@@ -78,8 +81,7 @@ class QueryEngine {
   ~QueryEngine();
 
   /// Parses and executes a query string. Two storage commands are
-  /// dispatched ahead of the retrieval grammar (parser and analyzer are
-  /// untouched by them):
+  /// dispatched ahead of the retrieval grammar:
   ///
   ///   PERSIST [INTO '<dir>']   checkpoint the catalog — BAT image plus the
   ///                            video-model state — into the store at <dir>
@@ -94,10 +96,10 @@ class QueryEngine {
   /// Executes an already-parsed query.
   Result<QueryResult> Execute(const ParsedQuery& query);
 
-  /// Snapshot-isolated read: evaluates a retrieval query against an
-  /// immutable CatalogSnapshot instead of the live catalog — the serving
-  /// layer's read path. Same grammar, same algebra, same span shapes as the
-  /// live path, with two deliberate differences:
+  /// Read-only execution over `surface` — a pinned CatalogSnapshot or a
+  /// ShardedSnapshotSet; the serving layer's read path. Same grammar, same
+  /// algebra, same span shapes as the live path, with two deliberate
+  /// differences:
   ///
   ///   * no result cache (a snapshot read is versioned by its epoch; the
   ///     shared cache is keyed by live state), matching the span shape of a
@@ -106,18 +108,24 @@ class QueryEngine {
   ///     metadata in the snapshot but a registered provider fails with a
   ///     typed FailedPrecondition pointing at the live read-write path.
   ///
-  /// Storage commands (PERSIST/RECOVER) are writes and are rejected with
-  /// FailedPrecondition. Const and lock-free over catalog state: any number
-  /// of threads may call this concurrently with a mutating writer.
+  /// A sharded set reads the shard owning the plan's video (a name no shard
+  /// holds routes to shard 0, for a NotFound byte-identical to the
+  /// single-catalog deployment) and stamps QueryResult::info with the read
+  /// set's epoch vector ("shards=N epochs=[...] coherent=..."), so a
+  /// response states the exact per-shard cut it was served from;
+  /// InvalidArgument when the set is empty.
+  ///
+  /// The text form rejects storage commands (ParseReadOnlyQuery). Const and
+  /// lock-free over catalog state: any number of threads may call this
+  /// concurrently with a mutating writer.
   Result<QueryResult> ExecuteSnapshot(const std::string& query_text,
-                                      const CatalogSnapshot& snapshot) const;
+                                      const ReadSurface& surface) const;
+  /// Parsed form under an explicit context: the caller owns tracing
+  /// (PROFILE/EXPLAIN/WATCH flags are not interpreted — the server nests
+  /// query spans under its own request span and exports the profile
+  /// itself).
   Result<QueryResult> ExecuteSnapshot(const ParsedQuery& query,
-                                      const CatalogSnapshot& snapshot) const;
-  /// Explicit-context variant: the caller owns tracing (PROFILE queries do
-  /// NOT get a private sink here — the server nests query spans under its
-  /// own request span and exports the profile itself).
-  Result<QueryResult> ExecuteSnapshot(const ParsedQuery& query,
-                                      const CatalogSnapshot& snapshot,
+                                      const ReadSurface& surface,
                                       const kernel::ExecContext& exec) const;
 
   /// EXPLAIN: the plan analyzer's static report, built from catalog facts
@@ -127,37 +135,15 @@ class QueryEngine {
   /// proves zero result rows. NOTHING executes: no extraction, no result
   /// cache, no algebra; `segments` is always empty and the report rides in
   /// QueryResult::profile_text (with a stable-schema JSON rendering in
-  /// profile_json). `sites` — from AnalyzeQueryTextWithFacts — anchors each
+  /// profile_json). `sites` — from the parse's QueryAnalysis — anchors each
   /// warning at its predicate's line:column; pass {} when the query did not
   /// come from text (warnings are then unpositioned but otherwise
-  /// identical). The three overloads differ only in the read surface, and
-  /// for identical catalog state produce byte-identical reports — the
-  /// parity the server tests pin across transports.
-  Result<QueryResult> ExecuteExplain(const ParsedQuery& query,
-                                     const std::vector<AttrSite>& sites) const;
+  /// identical). For identical catalog state the report is byte-identical
+  /// over every surface — the parity the server tests pin across
+  /// transports; a sharded surface also gets the epoch stamp.
   Result<QueryResult> ExecuteExplain(const ParsedQuery& query,
                                      const std::vector<AttrSite>& sites,
-                                     const CatalogSnapshot& snapshot) const;
-  Result<QueryResult> ExecuteExplain(const ParsedQuery& query,
-                                     const std::vector<AttrSite>& sites,
-                                     const ShardedSnapshotSet& snapshots) const;
-
-  /// Sharded snapshot read: evaluates the query against the shard of
-  /// `snapshots` that owns the plan's video (videos are partitioned across
-  /// shards, so exactly one shard holds a given name; a name no shard holds
-  /// routes to shard 0 for a NotFound byte-identical to the single-catalog
-  /// deployment). Segments, errors and span shapes match the unsharded
-  /// ExecuteSnapshot over the owning shard exactly; in addition
-  /// QueryResult::info is stamped with the read set's epoch vector
-  /// ("shards=N epochs=[...] coherent=..."), so a response states the exact
-  /// per-shard cut it was served from. InvalidArgument when `snapshots` is
-  /// empty.
-  Result<QueryResult> ExecuteSnapshot(const std::string& query_text,
-                                      const ShardedSnapshotSet& snapshots)
-      const;
-  Result<QueryResult> ExecuteSnapshot(const ParsedQuery& query,
-                                      const ShardedSnapshotSet& snapshots)
-      const;
+                                     const ReadSurface& surface) const;
 
   /// Execution parameters for the evaluator: pattern filtering and the
   /// temporal join run morsel-parallel over the event lists past the serial
@@ -182,44 +168,46 @@ class QueryEngine {
   const std::string& data_dir() const { return data_dir_; }
 
   /// Hook a continuous-query host (query/continuous.h, installed by the
-  /// query server) uses to receive WATCH queries: Execute(text) hands a
-  /// parsed WATCH form plus its analysis facts here and reports the
-  /// returned id as QueryResult::watch_id. With no handler installed a
-  /// WATCH query is a FailedPrecondition. Not thread-safe: install before
-  /// serving queries.
-  using WatchHandler =
-      std::function<Result<uint64_t>(const ParsedQuery&, const QueryAnalysis&)>;
+  /// query server) uses to receive WATCH queries: Execute(text) hands the
+  /// parse of a WATCH text here and reports the returned id as
+  /// QueryResult::watch_id. With no handler installed a WATCH query is a
+  /// FailedPrecondition. Not thread-safe: install before serving queries.
+  using WatchHandler = std::function<Result<uint64_t>(const QueryAnalysis&)>;
   void set_watch_handler(WatchHandler handler) {
     watch_handler_ = std::move(handler);
   }
 
  private:
-  /// The read surface EvaluateOver executes against: the live catalog (with
-  /// dynamic extraction) or an immutable snapshot. Defined in engine.cc.
-  struct EventSource;
-  struct LiveSource;
-  struct SnapshotSource;
+  /// WATCH refusal, EXPLAIN, and PROFILE's private sink around Run — shared
+  /// by the live (`live`) and read-only entry points.
+  Result<QueryResult> Dispatch(const ParsedQuery& query,
+                               const std::vector<AttrSite>& sites,
+                               const ReadSurface& surface, bool live) const;
 
-  /// The evaluator under an explicit context. PROFILE runs pass a context
-  /// with a fresh trace sink; plain runs pass exec_ through unchanged (which
-  /// may itself carry a host-installed sink).
-  Result<QueryResult> ExecuteImpl(const ParsedQuery& query,
-                                  const kernel::ExecContext& exec);
+  /// The one execution body: resolve the surface → `query.execute` span →
+  /// `query.verify` → (live only) result cache → EvaluateOver. PROFILE runs
+  /// pass a context with a fresh trace sink; plain runs pass exec_ through
+  /// unchanged (which may itself carry a host-installed sink).
+  Result<QueryResult> Run(const ParsedQuery& query, const ReadSurface& surface,
+                          const kernel::ExecContext& exec, bool live) const;
 
-  /// Shared evaluation body of the live and snapshot paths: find video →
-  /// preprocess (ensure availability) → read + filter → optional secondary
-  /// preprocess/filter + temporal semijoin — with identical span shapes on
-  /// both paths. Returns the matching segments; `version_at_read` receives
-  /// the source's event version sampled after the primary preprocess (the
-  /// live path's cache-entry version; see CacheStore).
-  static Result<std::vector<model::EventRecord>> EvaluateOver(
+  /// Find video → preprocess (ensure availability) → read + filter →
+  /// optional secondary preprocess/filter + temporal semijoin. Returns the
+  /// matching segments; `version_at_read` receives the source's event
+  /// version sampled after the primary preprocess (the live path's
+  /// cache-entry version; see CacheStore).
+  Result<std::vector<model::EventRecord>> EvaluateOver(
       const ParsedQuery& query, const kernel::ExecContext& qctx,
-      EventSource& source, QueryResult* result, uint64_t* version_at_read);
+      const ReadSurface& source, bool live, QueryResult* result,
+      uint64_t* version_at_read) const;
 
-  /// Ensures events of `type` exist for `video`; dynamically extracts when
-  /// missing, selecting the provider per `preference`.
-  Status EnsureAvailable(model::VideoId video, const std::string& type,
-                         MethodPreference preference, QueryResult* result);
+  /// Preprocessor step: ensures events of `type` exist for `video`. When
+  /// missing, the live path extracts them dynamically (provider chosen per
+  /// `preference`); a read-only path fails the way VerifyPlan predicted or
+  /// with a typed FailedPrecondition when only extraction could help.
+  Status Ensure(const ReadSurface& source, bool live, model::VideoId video,
+                const std::string& type, MethodPreference preference,
+                QueryResult* result) const;
 
   /// Attribute filters (case-insensitive value comparison).
   static bool MatchesPattern(const model::EventRecord& event,
@@ -239,7 +227,7 @@ class QueryEngine {
   /// Single locked lookup: promotes and copies out on a fresh hit, drops a
   /// stale entry, counts hit/miss.
   CacheOutcome CacheLookup(const std::string& key,
-                           std::vector<model::EventRecord>* segments)
+                           std::vector<model::EventRecord>* segments) const
       COBRA_EXCLUDES(cache_mu_);
 
   /// Stores a computed result under `event_version` — the catalog version
@@ -249,7 +237,7 @@ class QueryEngine {
   /// capacity.
   void CacheStore(const std::string& key,
                   const std::vector<model::EventRecord>& segments,
-                  uint64_t event_version) COBRA_EXCLUDES(cache_mu_);
+                  uint64_t event_version) const COBRA_EXCLUDES(cache_mu_);
 
   /// `PERSIST [INTO '<dir>']` / `RECOVER [FROM '<dir>']`; `rest` is the
   /// command text after the verb.
@@ -274,16 +262,19 @@ class QueryEngine {
     uint64_t event_version = 0;
   };
   /// Evicts the LRU tail until the cache fits `capacity`.
-  void EvictToCapacity(size_t capacity) COBRA_REQUIRES(cache_mu_);
+  void EvictToCapacity(size_t capacity) const COBRA_REQUIRES(cache_mu_);
 
+  /// The cache is live-only state behind the const execution body (only
+  /// the live entry points run it with `live`), hence mutable.
   mutable Mutex cache_mu_;
-  std::list<CacheEntry> lru_ COBRA_GUARDED_BY(cache_mu_);  // front = MRU
-  std::unordered_map<std::string, std::list<CacheEntry>::iterator> cache_map_
-      COBRA_GUARDED_BY(cache_mu_);
+  // front = MRU
+  mutable std::list<CacheEntry> lru_ COBRA_GUARDED_BY(cache_mu_);
+  mutable std::unordered_map<std::string, std::list<CacheEntry>::iterator>
+      cache_map_ COBRA_GUARDED_BY(cache_mu_);
   size_t cache_capacity_ COBRA_GUARDED_BY(cache_mu_) = 64;
-  uint64_t cache_hits_ COBRA_GUARDED_BY(cache_mu_) = 0;
-  uint64_t cache_misses_ COBRA_GUARDED_BY(cache_mu_) = 0;
-  uint64_t cache_evictions_ COBRA_GUARDED_BY(cache_mu_) = 0;
+  mutable uint64_t cache_hits_ COBRA_GUARDED_BY(cache_mu_) = 0;
+  mutable uint64_t cache_misses_ COBRA_GUARDED_BY(cache_mu_) = 0;
+  mutable uint64_t cache_evictions_ COBRA_GUARDED_BY(cache_mu_) = 0;
 };
 
 }  // namespace cobra::query

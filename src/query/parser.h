@@ -2,10 +2,10 @@
 #define COBRA_QUERY_PARSER_H_
 
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "base/diag.h"
 #include "base/status.h"
 
 namespace cobra::query {
@@ -19,6 +19,11 @@ enum class TemporalOp {
   kAfter,        // primary starts after a secondary ends
   kContaining,   // primary contains a secondary event
 };
+
+/// The grammar's keyword for `op` ("DURING", ...); "" for kNone. The one
+/// spelling of the temporal operators: the parser reads it, watch cursors
+/// print it, and span/EXPLAIN details show it lowercased.
+const char* TemporalOpKeyword(TemporalOp op);
 
 /// Method-selection preference used by the query preprocessor when several
 /// extensions could materialize a missing event type.
@@ -71,8 +76,46 @@ struct ParsedQuery {
   double window_sec = 0.0;
 };
 
-/// Parses the retrieval language; returns InvalidArgument with a pointed
-/// message on syntax errors.
+/// One WHERE equality predicate with the 1-based position of its attribute
+/// token — the anchor for the plan analyzer's dead-predicate warnings
+/// ("query:L:C: warning: ..."). Key/value carry the parser's normalization
+/// (lowercased key, uppercased value) so EXPLAIN can compare them against
+/// catalog metadata exactly the way execution would.
+struct AttrSite {
+  int line = 1;
+  int col = 1;
+  bool secondary = false;  // predicate of the temporal clause's pattern
+  std::string key;
+  std::string value;
+};
+
+/// Everything one pass over retrieval-query text yields: the positioned
+/// diagnostics, the parsed query, and the facts EXPLAIN and the
+/// continuous-query layer consume. `parsed` and the facts are only
+/// meaningful when `diags` is ok() (the walk stops at the first error).
+struct QueryAnalysis {
+  DiagnosticList diags;
+  ParsedQuery parsed;
+  /// Every WHERE predicate, in textual order.
+  std::vector<AttrSite> attr_sites;
+  /// 1-based position of the video-name token after FROM — the anchor for
+  /// positioned watch-registration diagnostics ("query:L:C: ..." when a
+  /// watch names an unregistered video).
+  int video_line = 1;
+  int video_col = 1;
+};
+
+/// The retrieval-language front end: one lexer and one grammar walk. A
+/// syntax error is reported with the 1-based line/column of the offending
+/// token and code InvalidArgument, so a rejected text never reaches an
+/// operator.
+QueryAnalysis AnalyzeQueryTextWithFacts(const std::string& text);
+
+/// The diagnostics of AnalyzeQueryTextWithFacts alone.
+DiagnosticList AnalyzeQueryText(const std::string& text);
+
+/// The parse of AnalyzeQueryTextWithFacts alone; a syntax error is the
+/// diagnostic's message and code without the position.
 Result<ParsedQuery> ParseQuery(const std::string& text);
 
 }  // namespace cobra::query

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "base/logging.h"
 #include "base/strings.h"
 
 namespace cobra::query {
@@ -103,7 +104,7 @@ void SnapshotManager::RefreshLocked() {
   uint64_t checkpoint_lsn = 0;
   uint64_t last_lsn = 0;
   if (kernel_ != nullptr) {
-    kernel::Catalog::StoreStats store = kernel_->Stats().store;
+    const kernel::Catalog::StoreStats store = kernel_->Durability();
     checkpoint_lsn = store.checkpoint_lsn;
     last_lsn = store.last_lsn;
   }
@@ -154,6 +155,51 @@ std::string ShardedSnapshotSet::EpochStamp() const {
   }
   return StrFormat("shards=%zu epochs=[%s] coherent=%s", pins_.size(),
                    epochs.c_str(), coherent_ ? "true" : "false");
+}
+
+Result<ReadSurface> ReadSurface::Resolve(const std::string& video) const {
+  if (shards_ == nullptr || snapshot_ != nullptr) return *this;
+  if (shards_->empty()) {
+    return Status::InvalidArgument(
+        "sharded snapshot read needs at least one shard snapshot");
+  }
+  // Videos are partitioned across shards, so the whole plan (primary and
+  // secondary event reads alike) reads the one shard owning the video;
+  // scatter below the per-shard catalog is the kernel exchange layer's job.
+  ReadSurface owner = *this;
+  owner.snapshot_ = &shards_->shard(shards_->OwnerOf(video));
+  return owner;
+}
+
+std::string ReadSurface::EpochStamp() const {
+  return shards_ != nullptr ? shards_->EpochStamp() : "";
+}
+
+const CatalogSnapshot& ReadSurface::snapshot() const {
+  COBRA_CHECK(snapshot_ != nullptr);  // an unresolved sharded surface
+  return *snapshot_;
+}
+
+Result<model::VideoDescriptor> ReadSurface::FindVideo(
+    const std::string& name) const {
+  return live_ != nullptr ? live_->FindVideo(name) : snapshot().FindVideo(name);
+}
+
+Result<std::vector<model::EventRecord>> ReadSurface::Events(
+    model::VideoId video, const std::string& type) const {
+  if (live_ != nullptr) return live_->Events(video, type);
+  return snapshot().Events(video, type);
+}
+
+bool ReadSurface::HasEvents(model::VideoId video,
+                            const std::string& type) const {
+  return live_ != nullptr ? live_->HasEvents(video, type)
+                          : snapshot().HasEvents(video, type);
+}
+
+uint64_t ReadSurface::EventVersion() const {
+  return live_ != nullptr ? live_->event_version()
+                          : snapshot().event_version();
 }
 
 Result<ShardedSnapshotSet> AcquireShardedSnapshots(

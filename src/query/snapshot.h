@@ -213,6 +213,46 @@ class ShardedSnapshotSet {
   bool coherent_ = true;
 };
 
+/// The one surface a plan reads through: the live catalog, one immutable
+/// CatalogSnapshot, or a ShardedSnapshotSet. It converts implicitly from
+/// each, so plan verification, EXPLAIN and evaluation take one parameter
+/// type whatever the deployment. A sharded set must be resolved to the shard
+/// owning the plan's video before it is read; Resolve() is the one place
+/// that routing is written. Non-owning: what it refers to must outlive it.
+class ReadSurface {
+ public:
+  ReadSurface(const model::VideoCatalog& live) : live_(&live) {}  // NOLINT
+  ReadSurface(const CatalogSnapshot& snapshot)  // NOLINT
+      : snapshot_(&snapshot) {}
+  ReadSurface(const ShardedSnapshotSet& shards)  // NOLINT
+      : shards_(&shards) {}
+
+  /// A sharded set becomes the snapshot of the shard owning `video` (shard
+  /// 0 when none does, so the NotFound is byte-identical to the
+  /// single-catalog deployment's) and keeps the set for EpochStamp();
+  /// InvalidArgument when the set is empty. Any other surface is returned
+  /// as is.
+  Result<ReadSurface> Resolve(const std::string& video) const;
+
+  /// The read set's epoch-vector stamp for a sharded surface, else "".
+  std::string EpochStamp() const;
+
+  // -- Reads (a sharded surface only after Resolve) ------------------------
+
+  Result<model::VideoDescriptor> FindVideo(const std::string& name) const;
+  Result<std::vector<model::EventRecord>> Events(
+      model::VideoId video, const std::string& type) const;
+  bool HasEvents(model::VideoId video, const std::string& type) const;
+  uint64_t EventVersion() const;
+
+ private:
+  const CatalogSnapshot& snapshot() const;
+
+  const model::VideoCatalog* live_ = nullptr;
+  const CatalogSnapshot* snapshot_ = nullptr;
+  const ShardedSnapshotSet* shards_ = nullptr;
+};
+
 /// Pins the current snapshot of every shard's SnapshotManager (in shard
 /// order) and re-validates that no manager published a newer epoch while the
 /// rest were being pinned, retrying the whole round a bounded number of

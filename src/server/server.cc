@@ -1,15 +1,12 @@
 #include "server/server.h"
 
 #include <atomic>
-#include <cctype>
 #include <memory>
 #include <utility>
 
 #include "base/logging.h"
 #include "base/strings.h"
 #include "base/trace.h"
-#include "query/analyzer.h"
-#include "query/parser.h"
 
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -106,9 +103,13 @@ Status QueryServer::Submit(uint64_t session, uint64_t seq, std::string query,
       std::make_shared<std::function<void(protocol::Response)>>(
           std::move(done));
   auto query_ptr = std::make_shared<std::string>(std::move(query));
-  pool_->Schedule([this, session, seq, pin, done_ptr, query_ptr]() {
+  pool_->Schedule([this, session, seq, pin, done_ptr, query_ptr]() mutable {
     protocol::Response response =
         ExecuteAdmitted(session, seq, *query_ptr, *pin);
+    // Unpin before replying: the pool destroys a task (and this capture)
+    // only after it returns, and a caller holding its response must not
+    // find its epoch still pinned (and unreclaimed) in stats().
+    pin.reset();
     {
       MutexLock lock(mu_);
       --in_flight_;
@@ -155,42 +156,21 @@ protocol::Response QueryServer::ExecuteAdmitted(
     return response;
   };
 
-  // Storage commands mutate; served reads reject them with the same typed
-  // error as QueryEngine::ExecuteSnapshot(text) — before the analyzer,
-  // which would call them a grammar error.
-  {
-    const std::string_view text = StrTrim(query);
-    size_t verb_len = 0;
-    while (verb_len < text.size() &&
-           std::isalpha(static_cast<unsigned char>(text[verb_len])) != 0) {
-      ++verb_len;
-    }
-    const std::string verb = ToUpperAscii(text.substr(0, verb_len));
-    if (verb == "PERSIST" || verb == "RECOVER") {
-      return fail(Status::FailedPrecondition(
-          verb + " is a storage command — snapshot reads are read-only"));
-    }
-  }
+  // One read-only front with QueryEngine::ExecuteSnapshot(text): storage
+  // commands are rejected, then the text is parsed — once — with
+  // positioned diagnostics identical to the direct engine path. The server
+  // needs the parse itself to own PROFILE tracing.
+  Result<query::QueryAnalysis> analysis = query::ParseReadOnlyQuery(query);
+  if (!analysis.ok()) return fail(analysis.status());
+  const query::ParsedQuery& parsed = analysis->parsed;
 
-  // Analyzer first — positioned diagnostics identical to the direct engine
-  // path — then parse; both also run inside ExecuteSnapshot(text), but the
-  // server needs the parsed form up front to own PROFILE tracing.
-  if (Status verdict = query::AnalyzeQueryText(query).ToStatus("query");
-      !verdict.ok()) {
-    return fail(verdict);
-  }
-  Result<query::ParsedQuery> parsed = query::ParseQuery(query);
-  if (!parsed.ok()) return fail(parsed.status());
-
-  if (parsed->watch) {
+  if (parsed.watch) {
     // WATCH registers a continuous query instead of reading. The response
     // still claims the admission-time snapshot identity: the watch observes
     // every write from that epoch on (its first pump evaluates the full
     // history, so earlier matches are delivered too — exactly once).
-    const query::QueryAnalysis analysis =
-        query::AnalyzeQueryTextWithFacts(query);
     MutexLock lock(watch_mu_);
-    Result<uint64_t> id = watch_manager_.Register(*parsed, analysis);
+    Result<uint64_t> id = watch_manager_.Register(*analysis);
     if (!id.ok()) return fail(id.status());
     watch_sessions_[*id] = session;
     response.ok = true;
@@ -201,49 +181,34 @@ protocol::Response QueryServer::ExecuteAdmitted(
   kernel::ExecContext exec = config_.exec;
   exec.trace = nullptr;
   exec.trace_parent = nullptr;
-
-  if (parsed->explain) {
+  trace::TraceSink sink;
+  Result<query::QueryResult> result = [&]() -> Result<query::QueryResult> {
     // EXPLAIN through the server: the engine's static report — cardinality
     // intervals and positioned dead-predicate warnings, byte-identical to a
     // direct engine call over the same snapshot — rides the profile field.
     // Nothing executes, so no request span tree is built around it.
-    const query::QueryAnalysis analysis =
-        query::AnalyzeQueryTextWithFacts(query);
-    Result<query::QueryResult> result =
-        engine_->ExecuteExplain(*parsed, analysis.attr_sites, *snapshot);
-    if (!result.ok()) return fail(result.status());
-    response.profile = result->profile_text;
-    response.ok = true;
-    response.segments = protocol::EncodeSegments(result->segments);
-    return response;
-  }
-
-  if (parsed->profile) {
+    if (parsed.explain) {
+      return engine_->ExecuteExplain(parsed, analysis->attr_sites, *snapshot);
+    }
+    if (!parsed.profile) {
+      return engine_->ExecuteSnapshot(parsed, *snapshot, exec);
+    }
     // PROFILE through the server: the request root span carries the serving
     // attributes (session, snapshot identity); the engine's query.execute
     // subtree underneath is identical to a direct engine call.
-    trace::TraceSink sink;
-    Result<query::QueryResult> result = [&]() {
-      trace::SpanGuard root(&sink, nullptr, "server.request");
-      root.Detail(StrFormat("session=%llu epoch=%llu version=%llu",
-                            static_cast<unsigned long long>(session),
-                            static_cast<unsigned long long>(response.epoch),
-                            static_cast<unsigned long long>(response.version)));
-      exec.trace = &sink;
-      exec.trace_parent = root.span();
-      return engine_->ExecuteSnapshot(*parsed, *snapshot, exec);
-    }();
-    if (!result.ok()) return fail(result.status());
-    response.profile = sink.ToText();
-    response.ok = true;
-    response.segments = protocol::EncodeSegments(result->segments);
-    return response;
-  }
-
-  Result<query::QueryResult> result =
-      engine_->ExecuteSnapshot(*parsed, *snapshot, exec);
+    trace::SpanGuard root(&sink, nullptr, "server.request");
+    root.Detail(StrFormat("session=%llu epoch=%llu version=%llu",
+                          static_cast<unsigned long long>(session),
+                          static_cast<unsigned long long>(response.epoch),
+                          static_cast<unsigned long long>(response.version)));
+    exec.trace = &sink;
+    exec.trace_parent = root.span();
+    return engine_->ExecuteSnapshot(parsed, *snapshot, exec);
+  }();
   if (!result.ok()) return fail(result.status());
   response.ok = true;
+  if (parsed.explain) response.profile = result->profile_text;
+  if (parsed.profile) response.profile = sink.ToText();
   response.segments = protocol::EncodeSegments(result->segments);
   return response;
 }

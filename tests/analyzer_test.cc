@@ -797,8 +797,8 @@ TEST(QueryAnalyzerTest, WatchFactsCarryWindowAndVideoPosition) {
   const QueryAnalysis analysis = AnalyzeQueryTextWithFacts(
       "WATCH RETRIEVE passing\nFROM 'live-gp' WINDOW 30s");
   ASSERT_TRUE(analysis.diags.ok());
-  EXPECT_TRUE(analysis.watch);
-  EXPECT_DOUBLE_EQ(analysis.window_sec, 30.0);
+  EXPECT_TRUE(analysis.parsed.watch);
+  EXPECT_DOUBLE_EQ(analysis.parsed.window_sec, 30.0);
   // The video token's position is what the continuous-query registrar
   // blames when the video does not exist.
   EXPECT_EQ(analysis.video_line, 2);
@@ -807,8 +807,8 @@ TEST(QueryAnalyzerTest, WatchFactsCarryWindowAndVideoPosition) {
   const QueryAnalysis plain =
       AnalyzeQueryTextWithFacts("RETRIEVE passing FROM 'live-gp'");
   ASSERT_TRUE(plain.diags.ok());
-  EXPECT_FALSE(plain.watch);
-  EXPECT_DOUBLE_EQ(plain.window_sec, 0.0);
+  EXPECT_FALSE(plain.parsed.watch);
+  EXPECT_DOUBLE_EQ(plain.parsed.window_sec, 0.0);
 }
 
 TEST(QueryAnalyzerTest, WatchOverMissingVideoIsPositioned) {

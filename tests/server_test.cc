@@ -279,6 +279,45 @@ TEST_F(ServerTest, StorageCommandsAreRejected) {
   auto recover = conn.Query("RECOVER FROM '/tmp/nope'");
   EXPECT_FALSE(recover.ok);
   EXPECT_EQ(recover.code, StatusCode::kFailedPrecondition);
+
+  // Every read entry point shares one front: each spelling of a storage
+  // verb gets the same code and message bytes over the wire, over a pinned
+  // snapshot and over a one-shard sharded set. A lookalike word is plain
+  // retrieval text and gets the grammar's error on all three.
+  auto pin = server->snapshots().Acquire();
+  auto set = query::AcquireShardedSnapshots({&server->snapshots()});
+  ASSERT_TRUE(set.ok());
+  const std::string persist_error =
+      "PERSIST is a storage command — snapshot reads are read-only";
+  const std::string recover_error =
+      "RECOVER is a storage command — snapshot reads are read-only";
+  const struct {
+    const char* text;
+    StatusCode code;
+    std::string message;
+  } cases[] = {
+      {"PERSIST", StatusCode::kFailedPrecondition, persist_error},
+      {"persist into 'd'", StatusCode::kFailedPrecondition, persist_error},
+      {"  Recover FROM 'd'", StatusCode::kFailedPrecondition, recover_error},
+      {"RECOVER", StatusCode::kFailedPrecondition, recover_error},
+      {"PERSISTED RETRIEVE highlight FROM 'race'",
+       StatusCode::kInvalidArgument,
+       "query:1:1: error: query must start with RETRIEVE"},
+  };
+  for (const auto& c : cases) {
+    auto wire = conn.Query(c.text);
+    auto snapshot = engine_.ExecuteSnapshot(c.text, *pin);
+    auto sharded = engine_.ExecuteSnapshot(c.text, *set);
+    ASSERT_FALSE(wire.ok) << c.text;
+    ASSERT_FALSE(snapshot.ok()) << c.text;
+    ASSERT_FALSE(sharded.ok()) << c.text;
+    EXPECT_EQ(wire.code, c.code) << c.text;
+    EXPECT_EQ(wire.message, c.message) << c.text;
+    EXPECT_EQ(snapshot.status().code(), c.code) << c.text;
+    EXPECT_EQ(snapshot.status().message(), c.message) << c.text;
+    EXPECT_EQ(sharded.status().code(), c.code) << c.text;
+    EXPECT_EQ(sharded.status().message(), c.message) << c.text;
+  }
 }
 
 TEST_F(ServerTest, MalformedFramesAndQueries) {

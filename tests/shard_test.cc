@@ -470,10 +470,15 @@ TEST_F(ShardedSnapshotTest, ExecuteRoutesToTheOwningShard) {
   EXPECT_EQ(missing.status().code(), single.status().code());
   EXPECT_EQ(missing.status().message(), single.status().message());
 
-  // Storage commands stay rejected on the sharded path.
+  // Storage commands stay rejected on the sharded path, byte for byte as
+  // on a single snapshot.
   auto persist = engine_.ExecuteSnapshot("PERSIST", *set);
   ASSERT_FALSE(persist.ok());
   EXPECT_EQ(persist.status().code(), StatusCode::kFailedPrecondition);
+  auto single_persist = engine_.ExecuteSnapshot("PERSIST", *pin0);
+  ASSERT_FALSE(single_persist.ok());
+  EXPECT_EQ(persist.status().code(), single_persist.status().code());
+  EXPECT_EQ(persist.status().message(), single_persist.status().message());
 }
 
 TEST_F(ShardedSnapshotTest, ExplainRoutesToTheOwningShardAndMatchesIt) {

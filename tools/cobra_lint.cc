@@ -3,11 +3,13 @@
 // codebase that no generic checker knows about:
 //
 //   1. span-coverage   — every kernel operator records a trace span: each
-//                        name in the operator span inventory must appear as
-//                        a string literal in some src/kernel/*.cc file, and
-//                        so must the exchange spans and the MIL wrapper
-//                        spans the plan analyzer attaches static
-//                        cardinality intervals to.
+//                        name in the span inventory must appear as a string
+//                        literal in some src/kernel, src/query or
+//                        src/server *.cc file — the operator, exchange and
+//                        MIL wrapper spans the plan analyzer attaches
+//                        static cardinality intervals to, and the query
+//                        path's execute/verify/cache/evaluate, request and
+//                        watch spans.
 //   2. nodiscard       — the error-carrying types stay [[nodiscard]]:
 //                        dropping a Status/Result (or a Value::Numeric
 //                        conversion) on the floor must not compile. The
@@ -58,29 +60,36 @@ std::string ReadFile(const std::string& path, bool* ok) {
 
 // -- check 1: span coverage --------------------------------------------------
 
-/// The operator span inventory: one entry per kernel operator (and per MIL
-/// wrapper the analyzer attaches PlanFacts to). Growing the kernel without
-/// growing this list is fine; REMOVING a span regresses observability and
-/// fails here.
+/// The span inventory: one entry per kernel operator (and per MIL wrapper
+/// the analyzer attaches PlanFacts to), plus the query path's spans from
+/// request to evaluation. Growing the code without growing this list is
+/// fine; REMOVING a span regresses observability and fails here.
 const char* const kRequiredSpans[] = {
-    "kernel.select_eq", "kernel.select_range", "kernel.select_str",
-    "kernel.sum",       "kernel.max",          "kernel.min",
-    "kernel.arg_max",   "kernel.join",         "kernel.semijoin",
-    "kernel.diff",      "kernel.group",        "kernel.concat",
-    "exchange.scatter", "exchange.merge",      "exchange.gather",
-    "mil.select",       "mil.join",            "mil.semijoin",
-    "mil.diff",         "mil.concat",          "mil.group",
+    "kernel.select_eq",  "kernel.select_range", "kernel.select_str",
+    "kernel.sum",        "kernel.max",          "kernel.min",
+    "kernel.arg_max",    "kernel.join",         "kernel.semijoin",
+    "kernel.diff",       "kernel.group",        "kernel.concat",
+    "exchange.scatter",  "exchange.merge",      "exchange.gather",
+    "mil.select",        "mil.join",            "mil.semijoin",
+    "mil.diff",          "mil.concat",          "mil.group",
+    "query.execute",     "query.verify",        "query.cache_lookup",
+    "query.preprocess",  "query.filter",        "query.temporal_join",
+    "server.request",    "watch.eval",
 };
 
-std::vector<Violation> CheckSpanCoverage(const std::string& kernel_sources,
+/// Directories whose *.cc files span-coverage reads.
+const char* const kSpanSourceDirs[] = {"src/kernel", "src/query",
+                                       "src/server"};
+
+std::vector<Violation> CheckSpanCoverage(const std::string& sources,
                                          const std::string& label) {
   std::vector<Violation> out;
   for (const char* span : kRequiredSpans) {
     const std::string quoted = std::string("\"") + span + "\"";
-    if (kernel_sources.find(quoted) == std::string::npos) {
+    if (sources.find(quoted) == std::string::npos) {
       out.push_back({label, 0,
-                     std::string("span-coverage: kernel operator span ") +
-                         quoted + " is not recorded anywhere"});
+                     std::string("span-coverage: span ") + quoted +
+                         " is not recorded anywhere"});
     }
   }
   return out;
@@ -179,26 +188,29 @@ const std::string& LoadFromDisk(const std::string& path, std::string* storage) {
 int LintRepo(const std::string& repo) {
   std::vector<Violation> violations;
 
-  // span coverage: concatenate every kernel source, so operator bodies can
-  // move between files without a lint edit.
-  std::string kernel_sources;
-  std::error_code ec;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(repo + "/src/kernel", ec)) {
-    if (entry.path().extension() != ".cc") continue;
-    bool ok = false;
-    kernel_sources += ReadFile(entry.path().string(), &ok);
-    if (!ok) {
-      violations.push_back(
-          {entry.path().string(), 0, "span-coverage: file unreadable"});
+  // span coverage: concatenate every source of the span directories, so
+  // bodies can move between files without a lint edit.
+  std::string sources;
+  for (const char* dir : kSpanSourceDirs) {
+    std::error_code ec;
+    size_t found = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(repo + "/" + dir, ec)) {
+      if (entry.path().extension() != ".cc") continue;
+      bool ok = false;
+      sources += ReadFile(entry.path().string(), &ok);
+      if (!ok) {
+        violations.push_back(
+            {entry.path().string(), 0, "span-coverage: file unreadable"});
+      }
+      sources += '\n';
+      ++found;
     }
-    kernel_sources += '\n';
+    if (ec || found == 0) {
+      violations.push_back({dir, 0, "span-coverage: no sources found"});
+    }
   }
-  if (ec || kernel_sources.empty()) {
-    violations.push_back(
-        {"src/kernel", 0, "span-coverage: no kernel sources found"});
-  }
-  for (Violation& v : CheckSpanCoverage(kernel_sources, "src/kernel")) {
+  for (Violation& v : CheckSpanCoverage(sources, "src")) {
     violations.push_back(std::move(v));
   }
 
@@ -283,6 +295,11 @@ int SelfTest() {
       all_spans.substr(all_spans.find('\n') + 1);  // drop the first span
   expect(CheckSpanCoverage(missing_one, "fake").size() == 1,
          "a removed operator span must be flagged");
+  const std::string execute = "\"query.execute\"\n";
+  std::string no_execute = all_spans;
+  no_execute.erase(no_execute.find(execute), execute.size());
+  expect(CheckSpanCoverage(no_execute, "fake").size() == 1,
+         "a removed query-path span must be flagged");
 
   if (failures == 0) {
     std::printf("cobra_lint: self-test passed\n");
