@@ -27,7 +27,8 @@ using MilValue = std::variant<Bat, double, std::string>;
 /// Figs. 4/5 list MIL procedures; Moa operator programs are rewritten into
 /// exactly this kind of script).
 ///
-/// Statements (each terminated by ';'):
+/// Statements (each terminated by ';' — a missing one is a positioned
+/// InvalidArgument at the first extra token; empty statements are legal):
 ///   VAR name := <expr>;      declare a session variable
 ///   name := <expr>;          reassign
 ///   PRINT <expr>;            append the value to the output log
@@ -38,7 +39,8 @@ using MilValue = std::variant<Bat, double, std::string>;
 ///                            recording (collected spans are kept)
 ///   check '<script>';        static analysis only: runs AnalyzeMilScript in
 ///                            strict mode over the quoted script (in the
-///                            session's variable/trace environment) and
+///                            session's variable/trace environment, on the
+///                            session's shard count and morsel grid) and
 ///                            appends its findings — or "check: ok" — to the
 ///                            output without executing anything
 ///   save '<dir>';            checkpoint the whole catalog into a persistent
@@ -98,11 +100,13 @@ class MilSession {
 
   /// Runs a script; returns the PRINT output (one line per PRINT).
   ///
-  /// Every script is first verified by AnalyzeMilScript: type, arity,
-  /// use-before-define, and catalog errors are rejected with a positioned
-  /// "mil:LINE:COL: error: ..." diagnostic BEFORE any operator executes, so
-  /// a failing script never leaves partial side effects (no variables
-  /// assigned, no BATs persisted, threadcnt unchanged).
+  /// Every script is parsed once and verified by the analyzer before it
+  /// runs: syntax errors (the first one wins, even over an earlier
+  /// statement's semantic error), then type, arity, use-before-define, and
+  /// catalog errors are rejected with a positioned "mil:LINE:COL: error:
+  /// ..." diagnostic BEFORE any operator executes, so a failing script
+  /// never leaves partial side effects (no variables assigned, no BATs
+  /// persisted, threadcnt unchanged).
   Result<std::string> Execute(const std::string& script);
 
   /// Reads a session variable (for host code after Execute).
@@ -239,9 +243,6 @@ struct PlanFact {
   /// applying, so a grid mismatch costs precision, never soundness.
   size_t shard_begin = 0;
   size_t shard_end = 0;
-  /// The operator's direct catalog input had a built tail hash index at
-  /// analysis time (advisory catalog fact; not load-bearing for rewrites).
-  bool index_present = false;
 };
 
 /// Full result of the abstract interpretation: the diagnostics (exactly

@@ -1,13 +1,14 @@
 // Static verification of MIL scripts (AnalyzeMilScript / the abstract
 // interpreter AnalyzeMilScriptWithFacts, declared in mil.h).
 //
-// The analyzer is a mirror of the interpreter in mil.cc over an abstract
-// value domain: instead of BATs/doubles/strings it propagates a lattice of
-// static facts — type, cardinality interval, numeric value hull,
-// NaN-possibility, dictionary contents, sortedness — through the same LL(1)
-// grammar, driven by the same MilLexer, in the same evaluation order.
-// Because MIL is straight-line — no control flow — the abstract walk visits
-// exactly the states the interpreter would, which gives the key properties:
+// The analyzer walks the program ParseMilScript produced — the program the
+// interpreter in mil.cc runs — over an abstract value domain: instead of
+// BATs/doubles/strings it propagates a lattice of static facts — kind,
+// cardinality interval, numeric value hull, NaN-possibility, dictionary
+// contents — and checks every call against the same operator table and
+// rules (mil_program.h), in the same evaluation order. Because MIL is
+// straight-line — no control flow — the abstract walk visits exactly the
+// states the interpreter would, which gives the key properties:
 //
 //  * soundness of rejection: every error reported here is an error the
 //    interpreter would also have raised (same message, same StatusCode),
@@ -22,13 +23,13 @@
 // The lattice is seeded from REAL catalog state: bat('x') resolved against
 // the live catalog records the exact row count, scans a zone map (min/max
 // over non-NaN tails, in the same double domain the runtime compares in —
-// int tails are cast per row exactly like Bat::SelectRange), copies the
-// string dictionary, checks sortedness, and notes index presence. The one
-// assumption making this sound is single-writer catalog access during a
-// script: a bat('x') resolved at analysis time is assumed to still resolve
-// to the same value moments later at execution time. Within the script,
-// mutations (persist/load/insert/assignment) are tracked by the abstract
-// walk itself, so facts always describe the state at their program point.
+// int tails are cast per row exactly like Bat::SelectRange), and copies the
+// string dictionary. The one assumption making this sound is single-writer
+// catalog access during a script: a bat('x') resolved at analysis time is
+// assumed to still resolve to the same value moments later at execution
+// time. Within the script, mutations (persist/load/insert/assignment) are
+// tracked by the abstract walk itself, so facts always describe the state
+// at their program point.
 
 #include <algorithm>
 #include <cmath>
@@ -44,14 +45,12 @@
 #include "base/diag.h"
 #include "base/strings.h"
 #include "kernel/mil.h"
-#include "kernel/mil_lexer.h"
+#include "kernel/mil_program.h"
 #include "kernel/persist.h"
 #include "kernel/shard.h"
 
 namespace cobra::kernel {
 namespace {
-
-constexpr int kMaxExprDepth = 200;  // keep in sync with mil.cc
 
 /// Cardinality arithmetic saturating at kCardUnbounded ("no upper bound").
 uint64_t SatAdd(uint64_t a, uint64_t b) {
@@ -68,9 +67,9 @@ uint64_t SatMul(uint64_t a, uint64_t b) {
 }
 
 /// Static approximation of a MilValue: the abstract-interpretation lattice.
+/// The kind is always exact; the facts below are exact or over-approximate.
 struct SType {
-  enum class Kind { kNumber, kString, kBat, kAny };
-  Kind kind = Kind::kAny;
+  MilKind kind = MilKind::kNumber;
 
   // kBat: tail type when provable.
   bool tail_known = false;
@@ -99,15 +98,6 @@ struct SType {
   /// proves the equality select empty.
   std::shared_ptr<const std::set<std::string>> dict;
 
-  /// kBat: tails provably sorted ascending (non-strict, no NaN). Currently
-  /// advisory — it survives order-preserving operators and is seeded from
-  /// the catalog scan; a binary-search select rewrite could consume it.
-  bool sorted = false;
-
-  /// kBat: the BAT had a built tail hash index at analysis time (catalog
-  /// fact, surfaced in PlanFact::index_present).
-  bool tail_index = false;
-
   /// Direct catalog/session seed: the analyzed Bat this expression is a
   /// byte-identical copy of. Set only by bat('x') resolving in the REAL
   /// catalog (not the persist overlay) and by session-variable seeding;
@@ -131,12 +121,7 @@ struct SType {
   double num_lo = 0.0;
   double num_hi = 0.0;
 
-  static SType Any() { return SType{}; }
-  static SType Num() {
-    SType t;
-    t.kind = Kind::kNumber;
-    return t;
-  }
+  static SType Num() { return SType{}; }
   static SType NumVal(double v) {
     SType t = Num();
     t.value_known = true;
@@ -145,7 +130,7 @@ struct SType {
   }
   static SType Str() {
     SType t;
-    t.kind = Kind::kString;
+    t.kind = MilKind::kString;
     return t;
   }
   static SType StrVal(std::string s) {
@@ -156,7 +141,7 @@ struct SType {
   }
   static SType BatAny() {
     SType t;
-    t.kind = Kind::kBat;
+    t.kind = MilKind::kBat;
     return t;
   }
   static SType BatOf(TailType tail) {
@@ -168,6 +153,10 @@ struct SType {
     return t;
   }
 
+  /// The value the signature check reads: a statically known number.
+  const double* KnownNumber() const {
+    return kind == MilKind::kNumber && value_known ? &number : nullptr;
+  }
   bool IsNumericTail() const {
     return tail == TailType::kInt || tail == TailType::kFloat;
   }
@@ -196,167 +185,32 @@ void ExtendHull(SType* t, double v) {
   t->hull_max = std::max(t->hull_max, v);
 }
 
-/// Zone-map test for one shard slice: false only when the slice PROVABLY
-/// produces no row for select(lo, hi) — exactly the pruning rule
-/// ShardedSelectRange applies (`!has_non_nan || max < lo || min > hi`),
-/// computed in the runtime's double domain.
-bool SliceMayMatch(const Bat& bat, const ShardRange& r, double lo, double hi) {
-  bool has = false;
-  double mn = 0.0, mx = 0.0;
-  auto fold = [&](double v) {
-    if (std::isnan(v)) return;
-    if (!has) {
-      mn = v;
-      mx = v;
-      has = true;
-      return;
-    }
-    if (v < mn) mn = v;
-    if (v > mx) mx = v;
-  };
-  if (bat.tail_type() == TailType::kInt) {
-    const auto& ints = bat.int_tails();
-    for (size_t i = r.begin; i < r.end && i < ints.size(); ++i) {
-      fold(static_cast<double>(ints[i]));
-    }
-  } else if (bat.tail_type() == TailType::kFloat) {
-    const auto& floats = bat.float_tails();
-    for (size_t i = r.begin; i < r.end && i < floats.size(); ++i) {
-      fold(floats[i]);
-    }
-  } else {
-    return true;  // non-numeric tails carry no zone map: never prunable
-  }
-  return has && !(mx < lo || mn > hi);
-}
-
 class MilAnalyzer {
  public:
-  MilAnalyzer(const std::string& script, const MilAnalysisContext& ctx)
-      : lexer_(script),
-        ctx_(ctx),
-        trace_ready_(ctx.trace_ready),
-        shards_(ctx.shards) {
+  explicit MilAnalyzer(const MilAnalysisContext& ctx)
+      : ctx_(ctx), trace_ready_(ctx.trace_ready), shards_(ctx.shards) {
     SeedSessionVariables();
   }
 
-  DiagnosticList Run() {
-    for (;;) {
-      MilToken tok;
-      if (!Next(&tok)) break;
-      if (tok.kind == MilToken::Kind::kEnd) break;
-      if (tok.kind == MilToken::Kind::kSemi) continue;
-
-      if (tok.kind == MilToken::Kind::kWord && tok.text == "VAR") {
-        MilToken name;
-        if (!Next(&name)) break;
-        if (name.kind != MilToken::Kind::kWord) {
-          Error(name, "expected variable name after VAR");
-          break;
-        }
-        MilToken assign;
-        if (!Next(&assign)) break;
-        if (assign.kind != MilToken::Kind::kAssign) {
-          Error(assign, "expected ':=' after VAR " + name.text);
-          break;
-        }
-        std::optional<SType> value = ParseExpr(0);
-        if (!value) break;
-        vars_.insert_or_assign(name.text, *value);
-        continue;
-      }
-      if (tok.kind == MilToken::Kind::kWord && tok.text == "PRINT") {
-        if (!ParseExpr(0)) break;
-        continue;
-      }
-      if (tok.kind == MilToken::Kind::kWord && tok.text == "trace") {
-        if (!AnalyzeTrace()) break;
-        continue;
-      }
-      if (tok.kind == MilToken::Kind::kWord && tok.text == "check") {
-        // Strict-mode analysis of the quoted script happens at runtime; its
-        // findings are output, not errors, so they do not invalidate the
-        // enclosing script. Only the statement's own shape is checked here.
-        MilToken arg;
-        if (!Next(&arg)) break;
-        if (arg.kind != MilToken::Kind::kString) {
-          Error(arg, "check expects a quoted MIL script");
-          break;
-        }
-        continue;
-      }
-      if (tok.kind == MilToken::Kind::kWord &&
-          (tok.text == "save" || tok.text == "load")) {
-        if (!CheckNotSharded(tok)) break;
-        if (!AnalyzeSaveLoad(tok)) break;
-        continue;
-      }
-      if (tok.kind == MilToken::Kind::kWord && tok.text == "checkpoint") {
-        if (!CheckNotSharded(tok)) break;
-        if (!ctx_.data_dir_attached) {
-          Error(tok,
-                "checkpoint requires an attached data directory; construct "
-                "the session with one or set COBRA_DATA_DIR",
-                StatusCode::kFailedPrecondition);
-          break;
-        }
-        continue;
-      }
-      if (tok.kind == MilToken::Kind::kWord) {
-        MilToken after;
-        if (!Next(&after)) break;
-        if (after.kind == MilToken::Kind::kAssign) {
-          if (vars_.count(tok.text) == 0) {
-            Error(tok, "assignment to undeclared variable " + tok.text,
-                  StatusCode::kNotFound);
-            break;
-          }
-          std::optional<SType> value = ParseExpr(0);
-          if (!value) break;
-          vars_.insert_or_assign(tok.text, *value);
-          continue;
-        }
-        PushBack(std::move(after));
-      }
-      PushBack(std::move(tok));
-      if (!ParseExpr(0)) break;
+  MilAnalysis Run(const MilProgram& program) {
+    for (const MilStmt& stmt : program) {
+      if (!Statement(stmt)) break;
     }
-    return std::move(diags_);
+    return {std::move(diags_), std::move(facts_)};
   }
-
-  std::vector<PlanFact> TakeFacts() { return std::move(facts_); }
 
  private:
-  // -- Token plumbing (mirrors mil.cc's pushback stack) --------------------
-
-  bool Next(MilToken* tok) {
-    if (!pushed_.empty()) {
-      *tok = std::move(pushed_.back());
-      pushed_.pop_back();
-      cur_line_ = tok->line;
-      cur_col_ = tok->col;
-      return true;
-    }
-    Result<MilToken> next = lexer_.Next();
-    if (!next.ok()) {
-      diags_.Error(lexer_.token_line(), lexer_.token_col(),
-                   next.status().message(), next.status().code());
-      return false;
-    }
-    *tok = std::move(next).value();
-    cur_line_ = tok->line;
-    cur_col_ = tok->col;
-    return true;
-  }
-
-  void PushBack(MilToken tok) { pushed_.push_back(std::move(tok)); }
-
-  void Error(const MilToken& at, std::string message,
-             StatusCode code = StatusCode::kInvalidArgument) {
+  /// Records an error; the nullopt lets an expression walk return it.
+  std::nullopt_t Error(const MilPos& at, std::string message,
+                       StatusCode code = StatusCode::kInvalidArgument) {
     diags_.Error(at.line, at.col, std::move(message), code);
+    return std::nullopt;
+  }
+  std::nullopt_t Error(const MilPos& at, const Status& status) {
+    return Error(at, status.message(), status.code());
   }
 
-  void Warn(const MilToken& at, std::string message) {
+  void Warn(const MilPos& at, std::string message) {
     diags_.Warning(at.line, at.col, std::move(message));
   }
 
@@ -364,74 +218,26 @@ class MilAnalyzer {
 
   /// Seeds the lattice from a real Bat the execution will start from (a
   /// catalog resolution or a session variable): exact row count, zone-map
-  /// hull over non-NaN tails, NaN presence, dictionary contents, sortedness
-  /// and index state — one O(rows) scan, the same per-row double casts the
-  /// runtime's SelectRange applies.
+  /// hull over non-NaN tails, NaN presence and dictionary contents — one
+  /// O(rows) scan, the same per-row double casts the runtime's SelectRange
+  /// applies.
   void SeedFromBat(SType* t, const Bat& bat) {
     t->SetExactRows(bat.size());
     t->concrete = &bat;
-    t->tail_index = bat.accel_info().tail_index_built;
-    switch (bat.tail_type()) {
-      case TailType::kInt: {
-        t->maybe_nan = false;
-        t->hull_known = true;
-        t->hull_empty = true;
-        t->sorted = true;
-        double prev = 0.0;
-        for (const int64_t raw : bat.int_tails()) {
-          const double v = static_cast<double>(raw);
-          if (t->hull_empty) {
-            t->hull_min = v;
-            t->hull_max = v;
-            t->hull_empty = false;
-          } else {
-            if (v < prev) t->sorted = false;
-            t->hull_min = std::min(t->hull_min, v);
-            t->hull_max = std::max(t->hull_max, v);
-          }
-          prev = v;
-        }
-        break;
+    t->maybe_nan = false;
+    if (bat.tail_type() == TailType::kStr) {
+      auto dict = std::make_shared<std::set<std::string>>();
+      for (size_t c = 0; c < bat.DictSize(); ++c) {
+        dict->insert(bat.DictAt(static_cast<uint32_t>(c)));
       }
-      case TailType::kFloat: {
-        t->maybe_nan = false;
-        t->hull_known = true;
-        t->hull_empty = true;
-        t->sorted = true;
-        bool first = true;
-        double prev = 0.0;
-        for (const double v : bat.float_tails()) {
-          if (std::isnan(v)) {
-            t->maybe_nan = true;
-            t->sorted = false;
-            continue;
-          }
-          if (!first && v < prev) t->sorted = false;
-          if (t->hull_empty) {
-            t->hull_min = v;
-            t->hull_max = v;
-            t->hull_empty = false;
-          } else {
-            t->hull_min = std::min(t->hull_min, v);
-            t->hull_max = std::max(t->hull_max, v);
-          }
-          prev = v;
-          first = false;
-        }
-        break;
+      t->dict = std::move(dict);
+    } else if (bat.tail_type() != TailType::kOid) {
+      t->hull_known = true;
+      t->hull_empty = true;
+      for (const int64_t v : bat.int_tails()) {
+        ExtendHull(t, static_cast<double>(v));
       }
-      case TailType::kStr: {
-        t->maybe_nan = false;
-        auto dict = std::make_shared<std::set<std::string>>();
-        for (size_t c = 0; c < bat.DictSize(); ++c) {
-          dict->insert(bat.DictAt(static_cast<uint32_t>(c)));
-        }
-        t->dict = std::move(dict);
-        break;
-      }
-      case TailType::kOid:
-        t->maybe_nan = false;
-        break;
+      for (const double v : bat.float_tails()) ExtendHull(t, v);
     }
   }
 
@@ -456,7 +262,7 @@ class MilAnalyzer {
   /// diagnostic; on success *tail is the tail type when known and
   /// *concrete, when non-null, is the live catalog Bat (set ONLY for a real
   /// catalog hit — the abstract overlay has no bytes to seed from).
-  bool LookupCatalog(const std::string& name, const MilToken& at,
+  bool LookupCatalog(const std::string& name, const MilPos& at,
                      std::optional<TailType>* tail,
                      const Bat** concrete = nullptr) {
     if (concrete != nullptr) *concrete = nullptr;
@@ -468,11 +274,7 @@ class MilAnalyzer {
     // After a `load` the catalog the script will see is the recovered one,
     // not the one we can inspect — every lookup becomes fully conservative
     // (unknown tail, misses allowed), preserving zero false rejections.
-    if (catalog_unknown_) {
-      tail->reset();
-      return true;
-    }
-    if (ctx_.catalog == nullptr) {
+    if (catalog_unknown_ || ctx_.catalog == nullptr) {
       tail->reset();
       return true;
     }
@@ -484,7 +286,7 @@ class MilAnalyzer {
         tail->reset();
         return true;
       }
-      Error(at, bat.status().message(), bat.status().code());
+      Error(at, bat.status());
       return false;
     }
     *tail = (*bat)->tail_type();
@@ -492,19 +294,18 @@ class MilAnalyzer {
     return true;
   }
 
-  /// Records one abstract-interpretation fact for the call site at
-  /// `name_tok`, applying the unsound-narrowing test seam when armed (the
-  /// seam narrows ONLY the upper bound — provable-empty and shard proofs
-  /// stay genuine, so outputs stay byte-identical and only the containment
-  /// walk of the differential harness can catch the defect).
-  void EmitFact(const MilToken& name_tok, const std::string& op,
-                const SType& out, bool provably_empty, int single_shard = -1,
-                size_t single_of = 0, size_t shard_begin = 0,
-                size_t shard_end = 0, bool index_present = false) {
+  /// Records one abstract-interpretation fact for the call site `call`,
+  /// applying the unsound-narrowing test seam when armed (the seam narrows
+  /// ONLY the upper bound — provable-empty and shard proofs stay genuine,
+  /// so outputs stay byte-identical and only the containment walk of the
+  /// differential harness can catch the defect).
+  void EmitFact(const MilExpr& call, const SType& out, bool provably_empty,
+                int single_shard = -1, size_t single_of = 0,
+                size_t shard_begin = 0, size_t shard_end = 0) {
     PlanFact f;
-    f.line = name_tok.line;
-    f.col = name_tok.col;
-    f.op = op;
+    f.line = call.line;
+    f.col = call.col;
+    f.op = call.op->name;
     f.rows_lo = out.rows_lo;
     f.rows_hi = out.rows_hi;
     f.provably_empty = provably_empty;
@@ -512,7 +313,6 @@ class MilAnalyzer {
     f.single_shard_of = single_of;
     f.shard_begin = shard_begin;
     f.shard_end = shard_end;
-    f.index_present = index_present;
     if (ctx_.unsafe_narrow_intervals && f.rows_hi > 0) {
       f.rows_hi = f.rows_hi == kCardUnbounded ? 1 : f.rows_hi / 2;
       f.rows_lo = std::min(f.rows_lo, f.rows_hi);
@@ -522,63 +322,69 @@ class MilAnalyzer {
 
   // -- Statements ----------------------------------------------------------
 
-  /// Storage statements are FailedPrecondition while the statically-known
-  /// shard count exceeds 1 (mirroring the interpreter; see the shards(n)
-  /// grammar notes in mil.h). A count set from a non-literal is unknown and
-  /// passes conservatively — the zero-false-rejection contract.
-  bool CheckNotSharded(const MilToken& stmt) {
-    if (!shards_known_ || shards_ <= 1) return true;
-    Error(stmt,
-          StrFormat("%s illegal while the session is sharded (shards(%d) in "
-                    "effect); storage is per-shard — reset with shards(1)",
-                    stmt.text.c_str(), shards_),
-          StatusCode::kFailedPrecondition);
-    return false;
-  }
-
-  bool AnalyzeTrace() {
-    MilToken mode;
-    if (!Next(&mode)) return false;
-    if (mode.kind != MilToken::Kind::kWord) {
-      Error(mode, "trace expects on|off|dump|json");
-      return false;
-    }
-    if (mode.text == "on") {
-      trace_ready_ = true;
-    } else if (mode.text == "off") {
-      // The sink is kept, so a later dump/json stays legal.
-    } else if (mode.text == "dump" || mode.text == "json") {
-      if (!trace_ready_) {
-        Error(mode, "trace has not been enabled; run 'trace on' first",
-              StatusCode::kFailedPrecondition);
-        return false;
+  bool Statement(const MilStmt& stmt) {
+    using Kind = MilStmt::Kind;
+    switch (stmt.kind) {
+      case Kind::kAssign:
+        if (vars_.count(stmt.name) == 0) {
+          Error(stmt, "assignment to undeclared variable " + stmt.name,
+                StatusCode::kNotFound);
+          return false;
+        }
+        [[fallthrough]];
+      case Kind::kVar: {
+        std::optional<SType> value = Eval(stmt.expr);
+        if (!value) return false;
+        vars_.insert_or_assign(stmt.name, std::move(*value));
+        return true;
       }
-    } else {
-      Error(mode, "trace expects on|off|dump|json, got '" + mode.text + "'");
-      return false;
+      case Kind::kPrint:
+      case Kind::kExpr:
+        return Eval(stmt.expr).has_value();
+      case Kind::kTrace: {
+        // `off` keeps the sink, so a later dump/json stays legal.
+        const Status ready = MilTraceRule(stmt, trace_ready_);
+        if (!ready.ok()) {
+          Error(stmt.expr, ready);
+          return false;
+        }
+        if (stmt.expr.text == "on") trace_ready_ = true;
+        return true;
+      }
+      case Kind::kCheck:
+        // Strict-mode analysis of the quoted script happens at runtime; its
+        // findings are output, not errors, so they do not invalidate the
+        // enclosing script.
+        return true;
+      case Kind::kSave:
+      case Kind::kLoad:
+      case Kind::kCheckpoint:
+        return Storage(stmt);
     }
     return true;
   }
 
-  /// `save '<dir>'` / `load '<dir>'`. Mirrors the interpreter: load of a
-  /// directory with no store is a NotFound (unless this script saved into
-  /// it first, or no filesystem was provided to check against). After a
-  /// load the inspectable catalog is stale, so lookups go conservative and
-  /// pre-load BAT snapshots become stale-read hazards.
-  bool AnalyzeSaveLoad(const MilToken& stmt) {
-    MilToken arg;
-    if (!Next(&arg)) return false;
-    if (arg.kind != MilToken::Kind::kString) {
-      Error(arg, stmt.text + " expects a quoted directory path");
+  /// save/load/checkpoint. The storage rule sees the statically-known shard
+  /// count; one set from a non-literal is unknown and passes conservatively
+  /// — the zero-false-rejection contract. A load of a directory with no
+  /// store is a NotFound (unless this script saved into it first, or no
+  /// filesystem was provided to check against). After a load the
+  /// inspectable catalog is stale, so lookups go conservative and pre-load
+  /// BAT snapshots become stale-read hazards.
+  bool Storage(const MilStmt& stmt) {
+    const Status rule = MilStorageRule(stmt, shards_known_ ? shards_ : 1,
+                                       ctx_.data_dir_attached);
+    if (!rule.ok()) {
+      Error(stmt, rule);
       return false;
     }
-    if (stmt.text == "save") {
-      saved_dirs_.insert(arg.text);
-      return true;
-    }
-    if (ctx_.fs != nullptr && saved_dirs_.count(arg.text) == 0 &&
-        !PersistentStore::Exists(*ctx_.fs, arg.text)) {
-      Error(arg, "no persistent store at " + arg.text, StatusCode::kNotFound);
+    const std::string& dir = stmt.expr.text;
+    if (stmt.kind == MilStmt::Kind::kSave) saved_dirs_.insert(dir);
+    if (stmt.kind != MilStmt::Kind::kLoad) return true;
+    if (ctx_.fs != nullptr && saved_dirs_.count(dir) == 0 &&
+        !PersistentStore::Exists(*ctx_.fs, dir)) {
+      Error(stmt.expr, "no persistent store at " + dir,
+            StatusCode::kNotFound);
       return false;
     }
     catalog_unknown_ = true;
@@ -589,289 +395,168 @@ class MilAnalyzer {
 
   // -- Expressions ---------------------------------------------------------
 
-  std::optional<SType> ParseExpr(int depth) {
-    if (depth > kMaxExprDepth) {
-      diags_.Error(cur_line_, cur_col_, "MIL expression nested too deeply");
-      return std::nullopt;
+  std::optional<SType> Eval(const MilExpr& e) {
+    switch (e.kind) {
+      case MilExpr::Kind::kNumber:
+        return SType::NumVal(e.number);
+      case MilExpr::Kind::kString:
+        return SType::StrVal(e.text);
+      case MilExpr::Kind::kVar:
+        return Variable(e);
+      case MilExpr::Kind::kCall:
+        break;
     }
-    MilToken tok;
-    if (!Next(&tok)) return std::nullopt;
-    if (tok.kind == MilToken::Kind::kNumber) return SType::NumVal(tok.number);
-    if (tok.kind == MilToken::Kind::kString) return SType::StrVal(tok.text);
-    if (tok.kind != MilToken::Kind::kWord) {
-      Error(tok, "expected expression, got '" + tok.text + "'");
-      return std::nullopt;
-    }
-    const MilToken name_tok = tok;
-    const std::string name = tok.text;
-    MilToken after;
-    if (!Next(&after)) return std::nullopt;
-    if (after.kind != MilToken::Kind::kLParen) {
-      PushBack(std::move(after));
-      auto it = vars_.find(name);
-      if (it == vars_.end()) {
-        Error(name_tok, "unknown MIL variable " + name, StatusCode::kNotFound);
-        return std::nullopt;
-      }
-      const SType& value = it->second;
-      if (!value.snapshot_of.empty() &&
-          (persisted_.count(value.snapshot_of) != 0 || reloaded_)) {
-        const std::string message =
-            persisted_.count(value.snapshot_of) != 0
-                ? "variable '" + name + "' reads a snapshot of BAT '" +
-                      value.snapshot_of + "' taken before persist('" +
-                      value.snapshot_of + "', ...) replaced it"
-                : "variable '" + name + "' reads a snapshot of BAT '" +
-                      value.snapshot_of +
-                      "' taken before load replaced the catalog";
-        if (ctx_.strict) {
-          Error(name_tok, message, StatusCode::kFailedPrecondition);
-          return std::nullopt;
-        }
-        diags_.Warning(name_tok.line, name_tok.col, message);
-      }
-      return value;
-    }
-    // Function call: parse comma-separated arguments.
     std::vector<SType> args;
-    std::vector<MilToken> arg_toks;
-    MilToken peek;
-    if (!Next(&peek)) return std::nullopt;
-    if (peek.kind != MilToken::Kind::kRParen) {
-      PushBack(std::move(peek));
-      for (;;) {
-        MilToken first;
-        if (!Next(&first)) return std::nullopt;
-        arg_toks.push_back(first);
-        PushBack(std::move(first));
-        std::optional<SType> arg = ParseExpr(depth + 1);
-        if (!arg) return std::nullopt;
-        args.push_back(*arg);
-        MilToken sep;
-        if (!Next(&sep)) return std::nullopt;
-        if (sep.kind == MilToken::Kind::kRParen) break;
-        if (sep.kind != MilToken::Kind::kComma) {
-          Error(sep, "expected ',' or ')' in call to " + name);
-          return std::nullopt;
-        }
-      }
+    for (const MilExpr& arg : e.args) {
+      std::optional<SType> t = Eval(arg);
+      if (!t) return std::nullopt;
+      args.push_back(std::move(*t));
     }
-    return CheckCall(name_tok, name, args, arg_toks);
+    for (size_t i = 0; i < args.size(); ++i) {
+      const Status s =
+          CheckMilArg(*e.op, i, args[i].kind, args[i].KnownNumber());
+      if (!s.ok()) return Error(e.args[i], s);
+    }
+    return Transfer(e, args);
   }
 
-  std::optional<SType> CheckCall(const MilToken& name_tok,
-                                 const std::string& name,
-                                 const std::vector<SType>& args,
-                                 const std::vector<MilToken>& arg_toks) {
-    auto arity = [&](size_t n) -> bool {
-      if (args.size() != n) {
-        Error(name_tok, StrFormat("%s expects %zu arguments, got %zu",
-                                  name.c_str(), n, args.size()));
-        return false;
+  std::optional<SType> Variable(const MilExpr& e) {
+    auto it = vars_.find(e.text);
+    if (it == vars_.end()) {
+      return Error(e, "unknown MIL variable " + e.text, StatusCode::kNotFound);
+    }
+    const SType& value = it->second;
+    const std::string& of = value.snapshot_of;
+    if (!of.empty() && (persisted_.count(of) != 0 || reloaded_)) {
+      const std::string message =
+          "variable '" + e.text + "' reads a snapshot of BAT '" + of +
+          "' taken before " +
+          (persisted_.count(of) != 0
+               ? "persist('" + of + "', ...) replaced it"
+               : std::string("load replaced the catalog"));
+      if (ctx_.strict) {
+        return Error(e, message, StatusCode::kFailedPrecondition);
       }
-      return true;
-    };
-    // Definitely-wrong checks only: kAny always passes.
-    auto require_bat = [&](size_t i, const std::string& context) -> bool {
-      if (args[i].kind == SType::Kind::kNumber ||
-          args[i].kind == SType::Kind::kString) {
-        Error(arg_toks[i], "expected a BAT for " + context);
-        return false;
-      }
-      return true;
-    };
-    auto require_number = [&](size_t i, const std::string& context) -> bool {
-      if (args[i].kind == SType::Kind::kString ||
-          args[i].kind == SType::Kind::kBat) {
-        Error(arg_toks[i], "expected a number for " + context);
-        return false;
-      }
-      return true;
-    };
-    // A known number the interpreter casts to an integer must be in range
-    // (MilIntegerRange), reported at the same argument.
-    auto require_integer = [&](size_t i, bool is_signed,
-                               const std::string& context) -> bool {
-      if (args[i].kind != SType::Kind::kNumber || !args[i].value_known) {
-        return true;
-      }
-      const Status range = MilIntegerRange(args[i].number, is_signed, context);
-      if (!range.ok()) Error(arg_toks[i], range.message());
-      return range.ok();
-    };
-    auto definitely_not_string = [&](size_t i) -> bool {
-      return args[i].kind == SType::Kind::kNumber ||
-             args[i].kind == SType::Kind::kBat;
-    };
+      Warn(e, message);
+    }
+    return value;
+  }
 
-    if (name == "bat") {
-      if (!arity(1)) return std::nullopt;
-      if (definitely_not_string(0)) {
-        Error(arg_toks[0], "bat() expects a name string");
-        return std::nullopt;
-      }
-      SType out = SType::BatAny();
-      if (args[0].value_known) {
-        std::optional<TailType> tail;
-        const Bat* concrete = nullptr;
-        if (!LookupCatalog(args[0].str, arg_toks[0], &tail, &concrete)) {
-          return std::nullopt;
-        }
-        if (tail) {
-          out.tail_known = true;
-          out.tail = *tail;
-          out.maybe_nan = *tail == TailType::kFloat;
-        }
-        if (concrete != nullptr) SeedFromBat(&out, *concrete);
-        out.snapshot_of = args[0].str;
-      }
-      return out;
-    }
-    if (name == "persist") {
-      if (!arity(2)) return std::nullopt;
-      if (definitely_not_string(0)) {
-        Error(arg_toks[0], "persist() expects a name string");
-        return std::nullopt;
-      }
-      if (!require_bat(1, "persist")) return std::nullopt;
-      if (args[0].value_known) {
-        overlay_[args[0].str] =
-            args[1].tail_known ? std::optional<TailType>(args[1].tail)
-                               : std::nullopt;
-        persisted_.insert(args[0].str);
-      } else {
-        overlay_wildcard_ = true;
-      }
-      SType out = args[1];
-      out.kind = SType::Kind::kBat;
-      out.concrete = nullptr;
-      return out;
-    }
-    if (name == "new") {
-      if (!arity(1)) return std::nullopt;
-      if (definitely_not_string(0)) {
-        Error(arg_toks[0], "new() expects a type string");
-        return std::nullopt;
-      }
-      SType out = SType::BatAny();
-      if (args[0].value_known) {
-        const std::string& type = args[0].str;
-        if (type == "int") {
-          out = SType::BatOf(TailType::kInt);
-        } else if (type == "dbl") {
-          out = SType::BatOf(TailType::kFloat);
-        } else if (type == "str") {
-          out = SType::BatOf(TailType::kStr);
-        } else if (type == "oid") {
-          out = SType::BatOf(TailType::kOid);
-        } else {
-          Error(arg_toks[0], "unknown BAT type " + type);
-          return std::nullopt;
-        }
-        if (type == "str") {
-          out.dict = std::make_shared<std::set<std::string>>();
-        }
-      }
-      out.SetExactRows(0);
-      out.hull_known = true;
-      out.hull_empty = true;
-      out.maybe_nan = false;
-      out.sorted = true;
-      return out;
-    }
-    if (name == "insert") {
-      if (!arity(3)) return std::nullopt;
-      if (!require_bat(0, "insert")) return std::nullopt;
-      if (!require_number(1, "insert head") ||
-          !require_integer(1, /*is_signed=*/false, "insert head")) {
-        return std::nullopt;
-      }
-      if (args[0].tail_known) {
-        if (args[0].tail == TailType::kStr) {
-          if (args[2].kind == SType::Kind::kNumber ||
-              args[2].kind == SType::Kind::kBat) {
-            Error(arg_toks[2], "insert tail must be a string");
+  /// The transfer function of each operator over arguments that passed the
+  /// signature check: the output's static facts, or an error the operator
+  /// provably raises.
+  std::optional<SType> Transfer(const MilExpr& e,
+                                const std::vector<SType>& args) {
+    using Code = MilOp::Code;
+    const Code code = e.op->code;
+    switch (code) {
+      case Code::kBat: {
+        SType out = SType::BatAny();
+        if (args[0].value_known) {
+          std::optional<TailType> tail;
+          const Bat* concrete = nullptr;
+          if (!LookupCatalog(args[0].str, e.args[0], &tail, &concrete)) {
             return std::nullopt;
           }
-        } else if (args[2].kind == SType::Kind::kString ||
-                   args[2].kind == SType::Kind::kBat) {
-          Error(arg_toks[2], "expected a number for insert tail");
-          return std::nullopt;
-        } else if (args[0].tail != TailType::kFloat &&
-                   !require_integer(2, args[0].tail == TailType::kInt,
-                                    "insert tail")) {
-          return std::nullopt;
+          if (tail) out = SType::BatOf(*tail);
+          if (concrete != nullptr) SeedFromBat(&out, *concrete);
+          out.snapshot_of = args[0].str;
         }
+        return out;
       }
-      SType out = args[0];
-      out.kind = SType::Kind::kBat;
-      out.concrete = nullptr;
-      out.rows_lo = SatAdd(out.rows_lo, 1);
-      out.rows_hi = SatAdd(out.rows_hi, 1);
-      out.sorted = false;
-      // Fold the appended tail value into the hull / dictionary.
-      if (!args[0].tail_known) {
-        out.hull_known = false;
-        out.maybe_nan = true;
-        out.dict = nullptr;
-      } else if (args[0].tail == TailType::kStr) {
-        if (args[2].value_known && args[2].kind == SType::Kind::kString &&
-            out.dict != nullptr) {
-          auto dict = std::make_shared<std::set<std::string>>(*out.dict);
-          dict->insert(args[2].str);
-          out.dict = std::move(dict);
+      case Code::kPersist: {
+        if (args[0].value_known) {
+          overlay_[args[0].str] =
+              args[1].tail_known ? std::optional<TailType>(args[1].tail)
+                                 : std::nullopt;
+          persisted_.insert(args[0].str);
         } else {
-          out.dict = nullptr;
+          overlay_wildcard_ = true;
         }
-      } else if (args[0].tail == TailType::kFloat) {
-        if (args[2].value_known && args[2].kind == SType::Kind::kNumber) {
-          ExtendHull(&out, args[2].number);
-        } else {
+        SType out = args[1];
+        out.concrete = nullptr;
+        return out;
+      }
+      case Code::kNew: {
+        SType out = SType::BatAny();
+        if (args[0].value_known) {
+          const Result<TailType> tail = MilNewType(args[0].str);
+          if (!tail.ok()) return Error(e.args[0], tail.status());
+          out = SType::BatOf(*tail);
+          if (*tail == TailType::kStr) {
+            out.dict = std::make_shared<std::set<std::string>>();
+          }
+        }
+        out.SetExactRows(0);
+        out.hull_known = true;
+        out.hull_empty = true;
+        out.maybe_nan = false;
+        return out;
+      }
+      case Code::kInsert: {
+        const SType& in = args[0];
+        const SType& tail = args[2];
+        if (in.tail_known) {
+          const Status s =
+              MilInsertTail(in.tail, tail.kind, tail.KnownNumber());
+          if (!s.ok()) return Error(e.args[2], s);
+        }
+        SType out = in;
+        out.concrete = nullptr;
+        out.rows_lo = SatAdd(out.rows_lo, 1);
+        out.rows_hi = SatAdd(out.rows_hi, 1);
+        // Fold the appended tail value into the hull / dictionary; the
+        // tail rule above proved its kind matches the BAT's tail type.
+        if (!in.tail_known) {
           out.hull_known = false;
           out.maybe_nan = true;
+          out.dict = nullptr;
+        } else if (in.tail == TailType::kStr) {
+          if (tail.value_known && out.dict != nullptr) {
+            auto dict = std::make_shared<std::set<std::string>>(*out.dict);
+            dict->insert(tail.str);
+            out.dict = std::move(dict);
+          } else {
+            out.dict = nullptr;
+          }
+        } else if (in.tail == TailType::kFloat) {
+          if (tail.value_known) {
+            ExtendHull(&out, tail.number);
+          } else {
+            out.hull_known = false;
+            out.maybe_nan = true;
+          }
+        } else if (in.tail == TailType::kInt) {
+          const double v = tail.number;
+          // Only integral literals small enough for the double<->int64
+          // round trip to be exact extend the hull; anything else drops it.
+          if (tail.value_known && std::isfinite(v) && v == std::floor(v) &&
+              std::abs(v) <= 9.0e15) {
+            ExtendHull(&out, v);
+          } else {
+            out.hull_known = false;
+          }
         }
-      } else if (args[0].tail == TailType::kInt) {
-        const double v = args[2].number;
-        // Only integral literals small enough for the double<->int64 round
-        // trip to be exact extend the hull; anything else drops it.
-        if (args[2].value_known && args[2].kind == SType::Kind::kNumber &&
-            std::isfinite(v) && v == std::floor(v) && std::abs(v) <= 9.0e15) {
-          ExtendHull(&out, v);
-        } else {
-          out.hull_known = false;
-        }
+        return out;
       }
-      return out;
-    }
-    if (name == "select") {
-      if (args.size() == 2) {
-        if (!require_bat(0, "select")) return std::nullopt;
-        if (definitely_not_string(1)) {
-          Error(arg_toks[1], "two-argument select expects a string");
-          return std::nullopt;
-        }
-        if (args[0].tail_known && args[0].tail != TailType::kStr) {
-          Error(arg_toks[0], "SelectStr requires a str tail");
-          return std::nullopt;
-        }
+      case Code::kSelectStr: {
         const SType& in = args[0];
+        if (in.tail_known && in.tail != TailType::kStr) {
+          return Error(e.args[0], "SelectStr requires a str tail");
+        }
         // On the success path the input tail was str, so the output is too.
         SType out = SType::BatOf(TailType::kStr);
         out.snapshot_of = in.snapshot_of;
-        out.rows_lo = 0;
         out.rows_hi = in.rows_hi;
-        out.sorted = in.sorted;
         bool empty = in.ProvablyEmpty();
         if (empty) {
-          Warn(name_tok, "select over a provably empty BAT is statically "
-                         "empty");
+          Warn(e, "select over a provably empty BAT is statically empty");
         } else if (args[1].value_known && in.dict != nullptr &&
                    in.dict->count(args[1].str) == 0) {
           empty = true;
-          Warn(name_tok,
-               StrFormat("statically dead predicate: select \"%s\" misses "
-                         "the input dictionary (%zu entries)",
-                         args[1].str.c_str(), in.dict->size()));
+          Warn(e, StrFormat("statically dead predicate: select \"%s\" misses "
+                            "the input dictionary (%zu entries)",
+                            args[1].str.c_str(), in.dict->size()));
         }
         if (args[1].value_known) {
           auto dict = std::make_shared<std::set<std::string>>();
@@ -881,385 +566,337 @@ class MilAnalyzer {
           out.dict = in.dict;
         }
         if (empty) out.rows_hi = 0;
-        EmitFact(name_tok, "select", out, empty, -1, 0, 0, 0, in.tail_index);
+        EmitFact(e, out, empty);
         return out;
       }
-      if (!arity(3)) return std::nullopt;
-      if (!require_bat(0, "select")) return std::nullopt;
-      if (!require_number(1, "select lo")) return std::nullopt;
-      if (!require_number(2, "select hi")) return std::nullopt;
-      if (args[0].tail_known && !args[0].IsNumericTail()) {
-        Error(arg_toks[0], "SelectRange requires a numeric tail");
-        return std::nullopt;
-      }
-      const SType& in = args[0];
-      SType out = in;
-      out.kind = SType::Kind::kBat;
-      out.concrete = nullptr;
-      out.tail_index = false;
-      out.dict = nullptr;
-      out.rows_lo = 0;          // rows_hi inherited: output is a subset
-      out.maybe_nan = false;    // NaN rows never match a range
-      const bool bounds_known = args[1].value_known && args[2].value_known;
-      const double lo = args[1].number;
-      const double hi = args[2].number;
-      // Output hull: every surviving value lies in the predicate range
-      // intersected with the input hull.
-      if (bounds_known) {
-        out.hull_known = true;
-        out.hull_empty = false;
-        out.hull_min = lo;
-        out.hull_max = hi;
-        if (in.hull_known && !in.hull_empty) {
-          out.hull_min = std::max(lo, in.hull_min);
-          out.hull_max = std::min(hi, in.hull_max);
-        }
-        if ((in.hull_known && in.hull_empty) || std::isnan(lo) ||
-            std::isnan(hi) || out.hull_min > out.hull_max) {
-          out.hull_empty = true;
-        }
-      }
-      bool empty = in.ProvablyEmpty();
-      if (empty) {
-        Warn(name_tok, "select over a provably empty BAT is statically "
-                       "empty");
-      } else if (bounds_known) {
-        if (std::isnan(lo) || std::isnan(hi) || lo > hi) {
-          empty = true;
-          Warn(name_tok,
-               StrFormat("statically dead predicate: select range [%g, %g] "
-                         "never matches",
-                         lo, hi));
-        } else if (in.hull_known) {
-          if (in.hull_empty) {
-            empty = true;
-            Warn(name_tok,
-                 "statically dead predicate: the input has no non-NaN "
-                 "values for the range to match");
-          } else if (lo > in.hull_max || hi < in.hull_min) {
-            empty = true;
-            Warn(name_tok,
-                 StrFormat("statically dead predicate: select range "
-                           "[%g, %g] misses the input value hull [%g, %g]",
-                           lo, hi, in.hull_min, in.hull_max));
+      case Code::kSelectRange:
+        return SelectRange(e, args);
+      case Code::kThreadcnt:
+      case Code::kShards: {
+        const bool is_shards = code == Code::kShards;
+        if (args[0].value_known) {
+          const double n = args[0].number;
+          const Status range = MilCountRange(*e.op, n);
+          if (!range.ok()) return Error(e.args[0], range);
+          if (is_shards) {
+            shards_known_ = true;
+            shards_ = static_cast<int>(n);
           }
+          return SType::NumVal(n);
         }
-      }
-      // Per-shard zone maps over the concrete input: prove which slices of
-      // the runtime partition can produce rows at all.
-      int single_shard = -1;
-      size_t single_of = 0, shard_begin = 0, shard_end = 0;
-      if (!empty && bounds_known && in.concrete != nullptr &&
-          in.IsNumericTail() && shards_known_ && shards_ > 1) {
-        const Bat& bat = *in.concrete;
-        const std::vector<ShardRange> ranges = ShardRanges(
-            bat.size(), static_cast<size_t>(shards_), ctx_.morsel_rows);
-        int candidates = 0;
-        int last = -1;
-        for (size_t k = 0; k < ranges.size(); ++k) {
-          if (SliceMayMatch(bat, ranges[k], lo, hi)) {
-            ++candidates;
-            last = static_cast<int>(k);
-          }
+        // Abstract-value consumer: a scalar whose static interval lies
+        // entirely outside the legal range fails at runtime for every
+        // possible value, so reject it now (still zero false rejections).
+        const double limit = MilCountLimit(*e.op);
+        if (args[0].num_bounds_known &&
+            (args[0].num_hi < 1.0 || args[0].num_lo > limit)) {
+          return Error(e.args[0],
+                       StrFormat("%s expects an integer in [1, %g]; the "
+                                 "argument is statically in [%g, %g]",
+                                 e.op->name, limit, args[0].num_lo,
+                                 args[0].num_hi));
         }
-        if (candidates == 0) {
-          empty = true;
-          Warn(name_tok,
-               "statically dead predicate: every shard's zone map misses "
-               "the select range");
-        } else if (candidates == 1) {
-          single_shard = last;
-          single_of = ranges.size();
-          shard_begin = ranges[static_cast<size_t>(last)].begin;
-          shard_end = ranges[static_cast<size_t>(last)].end;
-        }
+        if (is_shards) shards_known_ = false;
+        return SType::Num();
       }
-      if (empty) {
-        out.rows_hi = 0;
-        out.hull_known = true;
-        out.hull_empty = true;
-      }
-      EmitFact(name_tok, "select", out, empty, single_shard, single_of,
-               shard_begin, shard_end, in.tail_index);
-      return out;
-    }
-    if (name == "threadcnt" || name == "shards") {
-      const bool is_shards = name == "shards";
-      const double limit = is_shards ? 64.0 : 1024.0;
-      if (!arity(1)) return std::nullopt;
-      if (!require_number(0, name)) return std::nullopt;
-      if (args[0].value_known) {
-        const double n = args[0].number;
-        if (n < 1.0 || n != std::floor(n) || n > limit) {
-          Error(arg_toks[0],
-                StrFormat("%s expects an integer in [1, %g], got %g",
-                          name.c_str(), limit, n));
-          return std::nullopt;
-        }
-        if (is_shards) {
-          shards_known_ = true;
-          shards_ = static_cast<int>(n);
-        }
-        return SType::NumVal(n);
-      }
-      // Abstract-value consumer: a scalar whose static interval lies
-      // entirely outside the legal range fails at runtime for every
-      // possible value, so reject it now (still zero false rejections).
-      if (args[0].num_bounds_known &&
-          (args[0].num_hi < 1.0 || args[0].num_lo > limit)) {
-        Error(arg_toks[0],
-              StrFormat("%s expects an integer in [1, %g]; the argument is "
-                        "statically in [%g, %g]",
-                        name.c_str(), limit, args[0].num_lo,
-                        args[0].num_hi));
-        return std::nullopt;
-      }
-      if (is_shards) shards_known_ = false;
-      return SType::Num();
-    }
-    if (name == "join" || name == "semijoin" || name == "diff") {
-      if (!arity(2)) return std::nullopt;
-      if (!require_bat(0, name)) return std::nullopt;
-      if (!require_bat(1, name)) return std::nullopt;
-      const SType& a = args[0];
-      const SType& b = args[1];
-      if (name == "join") {
+      case Code::kJoin: {
+        const SType& a = args[0];
+        const SType& b = args[1];
         if (a.tail_known && a.tail != TailType::kOid) {
-          Error(arg_toks[0], "Join needs an oid tail on the left BAT");
-          return std::nullopt;
+          return Error(e.args[0], "Join needs an oid tail on the left BAT");
         }
         // Output tail values all come from b; each of a's rows matches at
         // most every b row, hence the product upper bound.
         SType out = b;
-        out.kind = SType::Kind::kBat;
         out.concrete = nullptr;
-        out.tail_index = false;
         out.snapshot_of.clear();
-        out.sorted = false;
         out.rows_lo = 0;
         out.rows_hi = SatMul(a.rows_hi, b.rows_hi);
         const bool empty = a.ProvablyEmpty() || b.ProvablyEmpty();
         if (empty) out.rows_hi = 0;
-        EmitFact(name_tok, "join", out, empty);
+        EmitFact(e, out, empty);
         return out;
       }
-      // Semijoin/diff are order-preserving filters of a: tail facts, hull,
-      // dictionary and sortedness survive; the row count can only shrink.
-      SType out = a;
-      out.kind = SType::Kind::kBat;
-      out.concrete = nullptr;
-      out.tail_index = false;
-      out.rows_lo = 0;
-      bool empty = a.ProvablyEmpty();
-      if (name == "semijoin") {
-        empty = empty || b.ProvablyEmpty();
-      } else if (b.ProvablyEmpty()) {
-        out.rows_lo = a.rows_lo;  // diff against nothing passes a through
-      }
-      if (empty) out.rows_hi = 0;
-      EmitFact(name_tok, name, out, empty);
-      return out;
-    }
-    if (name == "concat") {
-      if (!arity(2)) return std::nullopt;
-      if (!require_bat(0, "concat")) return std::nullopt;
-      if (!require_bat(1, "concat")) return std::nullopt;
-      const SType& a = args[0];
-      const SType& b = args[1];
-      if (a.tail_known && b.tail_known && a.tail != b.tail) {
-        Error(name_tok, "concat requires matching tail types");
-        return std::nullopt;
-      }
-      SType out;
-      if (a.tail_known) {
-        out = SType::BatOf(a.tail);
-      } else if (b.tail_known) {
-        out = SType::BatOf(b.tail);
-      } else {
-        out = SType::BatAny();
-      }
-      out.rows_lo = SatAdd(a.rows_lo, b.rows_lo);
-      out.rows_hi = SatAdd(a.rows_hi, b.rows_hi);
-      out.maybe_nan = a.maybe_nan || b.maybe_nan;
-      if (a.hull_known && b.hull_known) {
-        out.hull_known = true;
-        if (a.hull_empty && b.hull_empty) {
-          out.hull_empty = true;
-        } else if (a.hull_empty) {
-          out.hull_min = b.hull_min;
-          out.hull_max = b.hull_max;
-        } else if (b.hull_empty) {
-          out.hull_min = a.hull_min;
-          out.hull_max = a.hull_max;
-        } else {
-          out.hull_min = std::min(a.hull_min, b.hull_min);
-          out.hull_max = std::max(a.hull_max, b.hull_max);
+      case Code::kSemijoin:
+      case Code::kDiff: {
+        // Order-preserving filters of a: tail facts, hull and dictionary
+        // survive; the row count can only shrink.
+        const SType& a = args[0];
+        const SType& b = args[1];
+        SType out = a;
+        out.concrete = nullptr;
+        out.rows_lo = 0;
+        bool empty = a.ProvablyEmpty();
+        if (code == Code::kSemijoin) {
+          empty = empty || b.ProvablyEmpty();
+        } else if (b.ProvablyEmpty()) {
+          out.rows_lo = a.rows_lo;  // diff against nothing passes a through
         }
+        if (empty) out.rows_hi = 0;
+        EmitFact(e, out, empty);
+        return out;
       }
-      if (a.dict != nullptr && b.dict != nullptr) {
-        auto dict = std::make_shared<std::set<std::string>>(*a.dict);
-        dict->insert(b.dict->begin(), b.dict->end());
-        out.dict = std::move(dict);
-      }
-      out.snapshot_of = a.snapshot_of;
-      EmitFact(name_tok, "concat", out, out.rows_hi == 0);
-      return out;
-    }
-    if (name == "info") {
-      if (!arity(1)) return std::nullopt;
-      if (args[0].kind == SType::Kind::kString) {
-        if (args[0].value_known) {
+      case Code::kConcat:
+        return Concat(e, args[0], args[1]);
+      case Code::kInfo:
+        if (args[0].kind == MilKind::kString && args[0].value_known) {
           std::optional<TailType> tail;
-          if (!LookupCatalog(args[0].str, arg_toks[0], &tail)) {
+          if (!LookupCatalog(args[0].str, e.args[0], &tail)) {
             return std::nullopt;
           }
         }
-      } else if (args[0].kind == SType::Kind::kNumber) {
-        Error(arg_toks[0], "expected a BAT for info");
-        return std::nullopt;
-      }
-      return SType::Str();
-    }
-    if (name == "reverse" || name == "mirror") {
-      if (!arity(1)) return std::nullopt;
-      if (!require_bat(0, name)) return std::nullopt;
-      if (name == "reverse" && args[0].tail_known &&
-          args[0].tail != TailType::kOid) {
-        Error(arg_toks[0], "Reverse requires an oid tail");
-        return std::nullopt;
-      }
-      SType out = SType::BatOf(TailType::kOid);
-      out.rows_lo = args[0].rows_lo;
-      out.rows_hi = args[0].rows_hi;
-      out.snapshot_of = args[0].snapshot_of;
-      return out;
-    }
-    if (name == "group") {
-      if (!arity(1)) return std::nullopt;
-      if (!require_bat(0, "group")) return std::nullopt;
-      // One dense group id per input row: the row count carries over
-      // exactly, whatever the tail type.
-      SType out = SType::BatOf(TailType::kOid);
-      out.rows_lo = args[0].rows_lo;
-      out.rows_hi = args[0].rows_hi;
-      out.snapshot_of = args[0].snapshot_of;
-      EmitFact(name_tok, "group", out, args[0].ProvablyEmpty());
-      return out;
-    }
-    if (name == "slice") {
-      if (!arity(3)) return std::nullopt;
-      if (!require_bat(0, "slice")) return std::nullopt;
-      if (!require_number(1, "slice begin") ||
-          !require_integer(1, /*is_signed=*/false, "slice begin") ||
-          !require_number(2, "slice end") ||
-          !require_integer(2, /*is_signed=*/false, "slice end")) {
-        return std::nullopt;
-      }
-      SType out = args[0];
-      out.kind = SType::Kind::kBat;
-      out.concrete = nullptr;
-      out.tail_index = false;
-      out.rows_lo = 0;  // rows_hi inherited: a slice never grows
-      if (args[1].value_known && args[2].value_known) {
-        const double begin = args[1].number;
-        const double end = args[2].number;
-        // Mirror the runtime's clamp (end > size clamps, begin >= end is
-        // empty); only trust literals whose size_t round trip is exact.
-        if (begin >= 0 && end >= 0 && begin == std::floor(begin) &&
-            end == std::floor(end) && begin <= 9.0e15 && end <= 9.0e15) {
-          const uint64_t b = static_cast<uint64_t>(begin);
-          const uint64_t e = static_cast<uint64_t>(end);
-          out.rows_hi = std::min(out.rows_hi, e > b ? e - b : 0);
-          if (args[0].RowsExact()) {
-            const uint64_t clamped = std::min(e, args[0].rows_lo);
-            out.SetExactRows(b < clamped ? clamped - b : 0);
-          }
+        return SType::Str();
+      case Code::kReverse:
+      case Code::kMirror:
+      case Code::kGroup: {
+        if (code == Code::kReverse && args[0].tail_known &&
+            args[0].tail != TailType::kOid) {
+          return Error(e.args[0], "Reverse requires an oid tail");
         }
-      }
-      return out;
-    }
-    if (name == "sum" || name == "max" || name == "min" || name == "count" ||
-        name == "argmax") {
-      if (!arity(1)) return std::nullopt;
-      if (!require_bat(0, name)) return std::nullopt;
-      const SType& in = args[0];
-      if (name == "count") {
-        if (in.RowsExact()) {
-          return SType::NumVal(static_cast<double>(in.rows_lo));
-        }
-        SType out = SType::Num();
-        out.num_bounds_known = true;
-        out.num_lo = static_cast<double>(in.rows_lo);
-        out.num_hi = in.rows_hi == kCardUnbounded
-                         ? INFINITY
-                         : static_cast<double>(in.rows_hi);
+        // One oid row per input row: the row count carries over exactly,
+        // whatever the tail type (group assigns dense group ids).
+        SType out = SType::BatOf(TailType::kOid);
+        out.rows_lo = args[0].rows_lo;
+        out.rows_hi = args[0].rows_hi;
+        out.snapshot_of = args[0].snapshot_of;
+        if (code == Code::kGroup) EmitFact(e, out, args[0].ProvablyEmpty());
         return out;
       }
-      // Mirror the runtime check order: Min/ArgMax test emptiness before
-      // the tail type (Max delegates to ArgMax, hence its messages).
-      if (name != "sum" && in.ProvablyEmpty()) {
-        Error(name_tok,
-              name == "min" ? "Min of empty BAT" : "ArgMax of empty BAT",
-              StatusCode::kFailedPrecondition);
-        return std::nullopt;
-      }
-      if (in.tail_known && !in.IsNumericTail()) {
-        if (name == "sum") {
-          Error(arg_toks[0], "Sum requires a numeric tail");
-        } else if (name == "min") {
-          Error(arg_toks[0], "Min requires a numeric tail");
-        } else {
-          Error(arg_toks[0], "ArgMax requires a numeric tail");
-        }
-        return std::nullopt;
-      }
-      SType out = SType::Num();
-      if (name == "min" || name == "max") {
-        // The result is one of the non-NaN tail values unless the BAT is
-        // all-NaN (then it is NaN) — bounds only when NaN is impossible.
-        if (in.hull_known && !in.hull_empty && !in.maybe_nan) {
-          out.num_bounds_known = true;
-          out.num_lo = in.hull_min;
-          out.num_hi = in.hull_max;
-        }
-      } else if (name == "sum") {
-        if (in.ProvablyEmpty()) return SType::NumVal(0.0);
-        // A sum of c values each inside the hull lies between the extreme
-        // products; one NaN poisons the fold, so bounds need !maybe_nan.
-        if (in.hull_known && !in.hull_empty && !in.maybe_nan &&
-            in.rows_hi != kCardUnbounded) {
-          const double n_lo = static_cast<double>(in.rows_lo);
-          const double n_hi = static_cast<double>(in.rows_hi);
-          double lo = std::min(n_lo * in.hull_min, n_hi * in.hull_min);
-          double hi = std::max(n_lo * in.hull_max, n_hi * in.hull_max);
-          if (in.rows_lo == 0) {
-            lo = std::min(lo, 0.0);
-            hi = std::max(hi, 0.0);
+      case Code::kSlice: {
+        SType out = args[0];
+        out.concrete = nullptr;
+        out.rows_lo = 0;  // rows_hi inherited: a slice never grows
+        if (args[1].value_known && args[2].value_known) {
+          const double begin = args[1].number;
+          const double end = args[2].number;
+          // Mirror the runtime's clamp (end > size clamps, begin >= end is
+          // empty); only trust literals whose size_t round trip is exact.
+          if (begin >= 0 && end >= 0 && begin == std::floor(begin) &&
+              end == std::floor(end) && begin <= 9.0e15 && end <= 9.0e15) {
+            const uint64_t b = static_cast<uint64_t>(begin);
+            const uint64_t en = static_cast<uint64_t>(end);
+            out.rows_hi = std::min(out.rows_hi, en > b ? en - b : 0);
+            if (args[0].RowsExact()) {
+              const uint64_t clamped = std::min(en, args[0].rows_lo);
+              out.SetExactRows(b < clamped ? clamped - b : 0);
+            }
           }
-          out.num_bounds_known = true;
-          out.num_lo = lo;
-          out.num_hi = hi;
         }
-      } else {  // argmax: a global row position of the input
-        if (in.rows_hi != kCardUnbounded && in.rows_hi > 0) {
-          out.num_bounds_known = true;
-          out.num_lo = 0.0;
-          out.num_hi = static_cast<double>(in.rows_hi - 1);
-        }
+        return out;
       }
-      return out;
+      case Code::kSum:
+      case Code::kMax:
+      case Code::kMin:
+      case Code::kCount:
+      case Code::kArgmax:
+        return Aggregate(e, args[0]);
     }
-    Error(name_tok, "unknown MIL function " + name);
     return std::nullopt;
   }
 
-  MilLexer lexer_;
+  std::optional<SType> SelectRange(const MilExpr& e,
+                                   const std::vector<SType>& args) {
+    const SType& in = args[0];
+    if (in.tail_known && !in.IsNumericTail()) {
+      return Error(e.args[0], "SelectRange requires a numeric tail");
+    }
+    SType out = in;
+    out.concrete = nullptr;
+    out.dict = nullptr;
+    out.rows_lo = 0;        // rows_hi inherited: output is a subset
+    out.maybe_nan = false;  // NaN rows never match a range
+    const bool bounds_known = args[1].value_known && args[2].value_known;
+    const double lo = args[1].number;
+    const double hi = args[2].number;
+    // Output hull: every surviving value lies in the predicate range
+    // intersected with the input hull.
+    if (bounds_known) {
+      out.hull_known = true;
+      out.hull_empty = false;
+      out.hull_min = lo;
+      out.hull_max = hi;
+      if (in.hull_known && !in.hull_empty) {
+        out.hull_min = std::max(lo, in.hull_min);
+        out.hull_max = std::min(hi, in.hull_max);
+      }
+      if ((in.hull_known && in.hull_empty) || std::isnan(lo) ||
+          std::isnan(hi) || out.hull_min > out.hull_max) {
+        out.hull_empty = true;
+      }
+    }
+    bool empty = in.ProvablyEmpty();
+    if (empty) {
+      Warn(e, "select over a provably empty BAT is statically empty");
+    } else if (bounds_known) {
+      if (std::isnan(lo) || std::isnan(hi) || lo > hi) {
+        empty = true;
+        Warn(e, StrFormat("statically dead predicate: select range [%g, %g] "
+                          "never matches",
+                          lo, hi));
+      } else if (in.hull_known) {
+        if (in.hull_empty) {
+          empty = true;
+          Warn(e,
+               "statically dead predicate: the input has no non-NaN values "
+               "for the range to match");
+        } else if (lo > in.hull_max || hi < in.hull_min) {
+          empty = true;
+          Warn(e, StrFormat("statically dead predicate: select range "
+                            "[%g, %g] misses the input value hull [%g, %g]",
+                            lo, hi, in.hull_min, in.hull_max));
+        }
+      }
+    }
+    // Per-shard zone maps over the concrete input, with the runtime's own
+    // zone-map scan and miss predicate: prove which slices of the runtime
+    // partition can produce rows at all.
+    int single_shard = -1;
+    size_t single_of = 0, shard_begin = 0, shard_end = 0;
+    if (!empty && bounds_known && in.concrete != nullptr &&
+        in.IsNumericTail() && shards_known_ && shards_ > 1) {
+      const Bat& bat = *in.concrete;
+      const std::vector<ShardRange> ranges = ShardRanges(
+          bat.size(), static_cast<size_t>(shards_), ctx_.morsel_rows);
+      int candidates = 0;
+      int last = -1;
+      for (size_t k = 0; k < ranges.size(); ++k) {
+        if (!ZoneMapMisses(ZoneMap(bat, ranges[k].begin, ranges[k].end), lo,
+                           hi)) {
+          ++candidates;
+          last = static_cast<int>(k);
+        }
+      }
+      if (candidates == 0) {
+        empty = true;
+        Warn(e,
+             "statically dead predicate: every shard's zone map misses the "
+             "select range");
+      } else if (candidates == 1) {
+        single_shard = last;
+        single_of = ranges.size();
+        shard_begin = ranges[static_cast<size_t>(last)].begin;
+        shard_end = ranges[static_cast<size_t>(last)].end;
+      }
+    }
+    if (empty) {
+      out.rows_hi = 0;
+      out.hull_known = true;
+      out.hull_empty = true;
+    }
+    EmitFact(e, out, empty, single_shard, single_of, shard_begin, shard_end);
+    return out;
+  }
+
+  std::optional<SType> Concat(const MilExpr& e, const SType& a,
+                              const SType& b) {
+    if (a.tail_known && b.tail_known) {
+      const Status tails = MilConcatTails(a.tail, b.tail);
+      if (!tails.ok()) return Error(e, tails);
+    }
+    SType out;
+    if (a.tail_known) {
+      out = SType::BatOf(a.tail);
+    } else if (b.tail_known) {
+      out = SType::BatOf(b.tail);
+    } else {
+      out = SType::BatAny();
+    }
+    out.rows_lo = SatAdd(a.rows_lo, b.rows_lo);
+    out.rows_hi = SatAdd(a.rows_hi, b.rows_hi);
+    out.maybe_nan = a.maybe_nan || b.maybe_nan;
+    if (a.hull_known && b.hull_known) {
+      out.hull_known = true;
+      if (a.hull_empty && b.hull_empty) {
+        out.hull_empty = true;
+      } else if (a.hull_empty) {
+        out.hull_min = b.hull_min;
+        out.hull_max = b.hull_max;
+      } else if (b.hull_empty) {
+        out.hull_min = a.hull_min;
+        out.hull_max = a.hull_max;
+      } else {
+        out.hull_min = std::min(a.hull_min, b.hull_min);
+        out.hull_max = std::max(a.hull_max, b.hull_max);
+      }
+    }
+    if (a.dict != nullptr && b.dict != nullptr) {
+      auto dict = std::make_shared<std::set<std::string>>(*a.dict);
+      dict->insert(b.dict->begin(), b.dict->end());
+      out.dict = std::move(dict);
+    }
+    out.snapshot_of = a.snapshot_of;
+    EmitFact(e, out, out.rows_hi == 0);
+    return out;
+  }
+
+  /// sum/max/min/count/argmax.
+  std::optional<SType> Aggregate(const MilExpr& e, const SType& in) {
+    using Code = MilOp::Code;
+    const Code code = e.op->code;
+    if (code == Code::kCount) {
+      if (in.RowsExact()) {
+        return SType::NumVal(static_cast<double>(in.rows_lo));
+      }
+      SType out = SType::Num();
+      out.num_bounds_known = true;
+      out.num_lo = static_cast<double>(in.rows_lo);
+      out.num_hi = in.rows_hi == kCardUnbounded
+                       ? INFINITY
+                       : static_cast<double>(in.rows_hi);
+      return out;
+    }
+    // Mirror the runtime check order: Min/ArgMax test emptiness before
+    // the tail type (Max delegates to ArgMax, hence its messages).
+    if (code != Code::kSum && in.ProvablyEmpty()) {
+      return Error(e, code == Code::kMin ? "Min of empty BAT"
+                                         : "ArgMax of empty BAT",
+                   StatusCode::kFailedPrecondition);
+    }
+    if (in.tail_known && !in.IsNumericTail()) {
+      return Error(e.args[0], std::string(code == Code::kSum   ? "Sum"
+                                          : code == Code::kMin ? "Min"
+                                                               : "ArgMax") +
+                                  " requires a numeric tail");
+    }
+    SType out = SType::Num();
+    if (code == Code::kMin || code == Code::kMax) {
+      // The result is one of the non-NaN tail values unless the BAT is
+      // all-NaN (then it is NaN) — bounds only when NaN is impossible.
+      if (in.hull_known && !in.hull_empty && !in.maybe_nan) {
+        out.num_bounds_known = true;
+        out.num_lo = in.hull_min;
+        out.num_hi = in.hull_max;
+      }
+    } else if (code == Code::kSum) {
+      if (in.ProvablyEmpty()) return SType::NumVal(0.0);
+      // A sum of c values each inside the hull lies between the extreme
+      // products; one NaN poisons the fold, so bounds need !maybe_nan.
+      if (in.hull_known && !in.hull_empty && !in.maybe_nan &&
+          in.rows_hi != kCardUnbounded) {
+        const double n_lo = static_cast<double>(in.rows_lo);
+        const double n_hi = static_cast<double>(in.rows_hi);
+        double lo = std::min(n_lo * in.hull_min, n_hi * in.hull_min);
+        double hi = std::max(n_lo * in.hull_max, n_hi * in.hull_max);
+        if (in.rows_lo == 0) {
+          lo = std::min(lo, 0.0);
+          hi = std::max(hi, 0.0);
+        }
+        out.num_bounds_known = true;
+        out.num_lo = lo;
+        out.num_hi = hi;
+      }
+    } else if (in.rows_hi != kCardUnbounded && in.rows_hi > 0) {
+      // argmax: a global row position of the input.
+      out.num_bounds_known = true;
+      out.num_lo = 0.0;
+      out.num_hi = static_cast<double>(in.rows_hi - 1);
+    }
+    return out;
+  }
+
   const MilAnalysisContext& ctx_;
   DiagnosticList diags_;
   std::vector<PlanFact> facts_;
-  std::vector<MilToken> pushed_;
-  int cur_line_ = 1;
-  int cur_col_ = 1;
 
   std::map<std::string, SType> vars_;
   /// Names persist()ed by this script (shadowing the catalog), with their
@@ -1287,13 +924,17 @@ class MilAnalyzer {
 
 }  // namespace
 
+MilAnalysis AnalyzeMilProgram(const MilProgram& program,
+                              const MilAnalysisContext& context) {
+  return MilAnalyzer(context).Run(program);
+}
+
 MilAnalysis AnalyzeMilScriptWithFacts(const std::string& script,
                                       const MilAnalysisContext& context) {
-  MilAnalyzer analyzer(script, context);
   MilAnalysis out;
-  out.diags = analyzer.Run();
-  out.facts = analyzer.TakeFacts();
-  return out;
+  const MilProgram program = ParseMilScript(script, &out.diags);
+  if (!out.diags.ok()) return out;
+  return AnalyzeMilProgram(program, context);
 }
 
 DiagnosticList AnalyzeMilScript(const std::string& script,

@@ -271,11 +271,7 @@ struct SelectRangeOp : RowOp {
     return RequireNumeric(src, "SelectRange");
   }
 
-  // A NaN row never satisfies lo <= v <= hi, so an all-NaN (or empty)
-  // piece always misses; NaN bounds compare false and prune nothing.
-  bool Misses(const ShardStats& st) const {
-    return !st.has_non_nan || st.max < lo || st.min > hi;
-  }
+  bool Misses(const ShardStats& st) const { return ZoneMapMisses(st, lo, hi); }
 
   void Scan(const Bat& s, size_t, const ExecContext& ctx,
             trace::SpanGuard& span, std::vector<Bat>* out) const {

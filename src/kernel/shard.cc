@@ -71,32 +71,40 @@ ShardedBat PartitionedBat::View() const {
 
 // -- Zone maps and gather ---------------------------------------------------
 
+ShardStats ZoneMap(const Bat& bat, size_t begin, size_t end) {
+  ShardStats st;
+  st.version = bat.version();
+  st.rows = end - begin;
+  const bool numeric = bat.tail_type() == TailType::kInt ||
+                       bat.tail_type() == TailType::kFloat;
+  if (!numeric) return st;
+  for (size_t i = begin; i < end; ++i) {
+    const double v = bat.tail_type() == TailType::kInt
+                         ? static_cast<double>(bat.IntAt(i))
+                         : bat.FloatAt(i);
+    if (std::isnan(v)) continue;
+    if (!st.has_non_nan) {
+      st.has_non_nan = true;
+      st.min = v;
+      st.max = v;
+    } else {
+      if (v < st.min) st.min = v;
+      if (v > st.max) st.max = v;
+    }
+  }
+  return st;
+}
+
+bool ZoneMapMisses(const ShardStats& st, double lo, double hi) {
+  return !st.has_non_nan || st.max < lo || st.min > hi;
+}
+
 std::vector<ShardStats> ComputeShardStats(const ShardedBat& sb,
                                           const ExecContext& ctx) {
   const size_t n = sb.num_shards();
   std::vector<ShardStats> stats(n);
   ParallelForEach(ctx, n, [&](size_t k) {
-    const Bat& s = *sb.slices[k];
-    ShardStats& st = stats[k];
-    st.version = s.version();
-    st.rows = s.size();
-    const bool numeric = s.tail_type() == TailType::kInt ||
-                         s.tail_type() == TailType::kFloat;
-    if (!numeric) return;
-    for (size_t i = 0; i < s.size(); ++i) {
-      const double v = s.tail_type() == TailType::kInt
-                           ? static_cast<double>(s.IntAt(i))
-                           : s.FloatAt(i);
-      if (std::isnan(v)) continue;
-      if (!st.has_non_nan) {
-        st.has_non_nan = true;
-        st.min = v;
-        st.max = v;
-      } else {
-        if (v < st.min) st.min = v;
-        if (v > st.max) st.max = v;
-      }
-    }
+    stats[k] = ZoneMap(*sb.slices[k], 0, sb.slices[k]->size());
   });
   return stats;
 }

@@ -134,6 +134,16 @@ struct ExchangeOptions {
   const std::vector<ShardStats>* scan_stats = nullptr;
 };
 
+/// Zone map of rows [begin, end) of `bat` (version and rows included).
+/// Only meaningful for numeric tails. The one zone-map scan: runtime
+/// pruning and the MIL analyzer's single-shard proofs both use it.
+ShardStats ZoneMap(const Bat& bat, size_t begin, size_t end);
+
+/// True when select(lo, hi) provably matches no row of a piece with zone
+/// map `st`. A NaN row never satisfies lo <= v <= hi, so an all-NaN (or
+/// empty) piece always misses; NaN bounds compare false and prune nothing.
+bool ZoneMapMisses(const ShardStats& st, double lo, double hi);
+
 /// Zone maps for every slice of `sb`, computed by one scan per shard
 /// (parallel across shards). Only meaningful for numeric tails.
 std::vector<ShardStats> ComputeShardStats(const ShardedBat& sb,

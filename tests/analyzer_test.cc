@@ -13,14 +13,17 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "base/diag.h"
 #include "base/io.h"
+#include "base/rng.h"
 #include "cobra/video_model.h"
 #include "extensions/extension.h"
 #include "kernel/catalog.h"
@@ -43,6 +46,28 @@ Diagnostic FirstError(const DiagnosticList& diags) {
   ADD_FAILURE() << "no error diagnostic";
   return Diagnostic{};
 }
+
+// The valid-script corpus: every entry must pass the analyzer.
+const char* kValidMil[] = {
+    "PRINT 42;",
+    "VAR f := bat('values'); PRINT sum(f); PRINT count(f);",
+    "VAR hits := select(bat('values'), 0.25, 0.65); PRINT count(hits);",
+    "PRINT count(select(bat('names'), 'alpha'));",
+    "VAR links := insert(insert(new('oid'), 100, 2), 101, 4);\n"
+    "PRINT sum(join(links, bat('values')));",
+    "PRINT count(reverse(insert(new('oid'), 7, 3)));\n"
+    "PRINT count(mirror(bat('values')));\n"
+    "PRINT count(slice(bat('values'), 2, 5));",
+    "persist('top', select(bat('values'), 0.75, 1.0));",
+    "# comment only\nPRINT 1;  # trailing\n",
+    "threadcnt(2); PRINT sum(bat('values'));",
+    "trace on; PRINT count(bat('values')); trace dump;",
+    "PRINT concat(bat('values'), bat('values'));",
+    "PRINT info('values'); PRINT info(bat('names'));",
+    "PRINT min(bat('values')); PRINT max(bat('values'));",
+    "save 'd1';",
+    "save 'd1'; load 'd1';",
+};
 
 class MilAnalyzerTest : public ::testing::Test {
  protected:
@@ -68,27 +93,7 @@ class MilAnalyzerTest : public ::testing::Test {
 };
 
 TEST_F(MilAnalyzerTest, ValidScriptsPass) {
-  const char* scripts[] = {
-      "PRINT 42;",
-      "VAR f := bat('values'); PRINT sum(f); PRINT count(f);",
-      "VAR hits := select(bat('values'), 0.25, 0.65); PRINT count(hits);",
-      "PRINT count(select(bat('names'), 'alpha'));",
-      "VAR links := insert(insert(new('oid'), 100, 2), 101, 4);\n"
-      "PRINT sum(join(links, bat('values')));",
-      "PRINT count(reverse(insert(new('oid'), 7, 3)));\n"
-      "PRINT count(mirror(bat('values')));\n"
-      "PRINT count(slice(bat('values'), 2, 5));",
-      "persist('top', select(bat('values'), 0.75, 1.0));",
-      "# comment only\nPRINT 1;  # trailing\n",
-      "threadcnt(2); PRINT sum(bat('values'));",
-      "trace on; PRINT count(bat('values')); trace dump;",
-      "PRINT concat(bat('values'), bat('values'));",
-      "PRINT info('values'); PRINT info(bat('names'));",
-      "PRINT min(bat('values')); PRINT max(bat('values'));",
-      "save 'd1';",
-      "save 'd1'; load 'd1';",
-  };
-  for (const char* script : scripts) {
+  for (const char* script : kValidMil) {
     DiagnosticList diags = Analyze(script);
     EXPECT_TRUE(diags.ok()) << script << "\n" << diags.ToString("mil");
   }
@@ -113,61 +118,154 @@ TEST_F(MilAnalyzerTest, PositionsTrackLines) {
 }
 
 // The malformed-script corpus (superset of mil_test's ErrorsAreReported
-// inputs): every entry must be rejected statically with a positioned
-// diagnostic — and, through MilSession, before anything executes.
+// inputs), each entry with its exact first error: the analyzer must reject
+// it statically with that code and those bytes — and, through MilSession,
+// so must execution, before anything runs.
+struct MalformedMil {
+  const char* script;
+  StatusCode code;
+  const char* message;  // the first error: ToStatus("mil").message()
+};
+const MalformedMil kMalformedMil[] = {
+    {"PRINT bat('missing');",
+     StatusCode::kNotFound,
+     "mil:1:11: error: no BAT named missing"},
+    // Stream seal-metadata BATs resolve like any other catalog name: a
+    // watch over a stream that was never attached is caught statically.
+    {"PRINT bat('telemetry.@seals');",
+     StatusCode::kNotFound,
+     "mil:1:11: error: no BAT named telemetry.@seals"},
+    {"PRINT count(bat('values.@seals'));",
+     StatusCode::kNotFound,
+     "mil:1:17: error: no BAT named values.@seals"},
+    {"PRINT frobnicate(1);",
+     StatusCode::kInvalidArgument,
+     "mil:1:7: error: unknown MIL function frobnicate"},
+    {"PRINT sum(1);",
+     StatusCode::kInvalidArgument,
+     "mil:1:11: error: expected a BAT for sum"},
+    {"PRINT select(bat('values'));",
+     StatusCode::kInvalidArgument,
+     "mil:1:7: error: select expects 3 arguments, got 1"},
+    {"PRINT 'unterminated;",
+     StatusCode::kInvalidArgument,
+     "mil:1:7: error: unterminated string in MIL script"},
+    {"x := 1;",
+     StatusCode::kNotFound,
+     "mil:1:1: error: assignment to undeclared variable x"},
+    {"VAR := 1;",
+     StatusCode::kInvalidArgument,
+     "mil:1:5: error: expected variable name after VAR"},
+    {"VAR x;",
+     StatusCode::kInvalidArgument,
+     "mil:1:6: error: expected ':=' after VAR x"},
+    {"PRINT insert(new('int'), 0, 'x');",
+     StatusCode::kInvalidArgument,
+     "mil:1:29: error: expected a number for insert tail"},
+    {"PRINT insert(new('str'), 0, 1);",
+     StatusCode::kInvalidArgument,
+     "mil:1:29: error: insert tail must be a string"},
+    {"PRINT min(new('dbl'));",
+     StatusCode::kFailedPrecondition,
+     "mil:1:7: error: Min of empty BAT"},
+    {"PRINT max(new('int'));",
+     StatusCode::kFailedPrecondition,
+     "mil:1:7: error: ArgMax of empty BAT"},
+    {"trace dump;",
+     StatusCode::kFailedPrecondition,
+     "mil:1:7: error: trace has not been enabled; run 'trace on' first"},
+    {"trace sideways;",
+     StatusCode::kInvalidArgument,
+     "mil:1:7: error: trace expects on|off|dump|json, got 'sideways'"},
+    {"PRINT threadcnt(0);",
+     StatusCode::kInvalidArgument,
+     "mil:1:17: error: threadcnt expects an integer in [1, 1024], got 0"},
+    {"PRINT threadcnt(1.5);",
+     StatusCode::kInvalidArgument,
+     "mil:1:17: error: threadcnt expects an integer in [1, 1024], got 1.5"},
+    {"PRINT new('quux');",
+     StatusCode::kInvalidArgument,
+     "mil:1:11: error: unknown BAT type quux"},
+    {"check 42;",
+     StatusCode::kInvalidArgument,
+     "mil:1:7: error: check expects a quoted MIL script"},
+    {"PRINT .;",
+     StatusCode::kInvalidArgument,
+     "mil:1:7: error: bad numeric literal: ."},
+    {"PRINT @;",
+     StatusCode::kInvalidArgument,
+     "mil:1:7: error: unexpected character '@' in MIL script"},
+    {"PRINT sum(bat('names'));",
+     StatusCode::kInvalidArgument,
+     "mil:1:11: error: Sum requires a numeric tail"},
+    {"PRINT select(bat('values'), 'alpha');",
+     StatusCode::kInvalidArgument,
+     "mil:1:14: error: SelectStr requires a str tail"},
+    {"PRINT select(bat('names'), 0, 1);",
+     StatusCode::kInvalidArgument,
+     "mil:1:14: error: SelectRange requires a numeric tail"},
+    {"PRINT count(reverse(bat('values')));",
+     StatusCode::kInvalidArgument,
+     "mil:1:21: error: Reverse requires an oid tail"},
+    {"PRINT join(bat('values'), bat('values'));",
+     StatusCode::kInvalidArgument,
+     "mil:1:12: error: Join needs an oid tail on the left BAT"},
+    {"PRINT concat(bat('values'), bat('names'));",
+     StatusCode::kInvalidArgument,
+     "mil:1:7: error: concat requires matching tail types"},
+    {"save 42;",
+     StatusCode::kInvalidArgument,
+     "mil:1:6: error: save expects a quoted directory path"},
+    {"load;",
+     StatusCode::kInvalidArgument,
+     "mil:1:5: error: load expects a quoted directory path"},
+    // Numbers cast to integers must be representable.
+    {"PRINT slice(bat('values'), -1, 5);",
+     StatusCode::kInvalidArgument,
+     "mil:1:28: error: slice begin must be in [0, 2^64), got -1"},
+    {"PRINT slice(bat('values'), 0, 1e30);",
+     StatusCode::kInvalidArgument,
+     "mil:1:31: error: slice end must be in [0, 2^64), got 1e+30"},
+    {"PRINT insert(new('int'), 0, 1e300);",
+     StatusCode::kInvalidArgument,
+     "mil:1:29: error: insert tail must be in [-2^63, 2^63), got 1e+300"},
+    {"PRINT insert(new('int'), 0, -1e19);",
+     StatusCode::kInvalidArgument,
+     "mil:1:29: error: insert tail must be in [-2^63, 2^63), got -1e+19"},
+    {"PRINT insert(new('oid'), 0, -2);",
+     StatusCode::kInvalidArgument,
+     "mil:1:29: error: insert tail must be in [0, 2^64), got -2"},
+    {"PRINT insert(new('dbl'), -1, 0.5);",
+     StatusCode::kInvalidArgument,
+     "mil:1:26: error: insert head must be in [0, 2^64), got -1"},
+    {"PRINT insert(new('str'), 1e20, 'x');",
+     StatusCode::kInvalidArgument,
+     "mil:1:26: error: insert head must be in [0, 2^64), got 1e+20"},
+    // Every statement ends in ';': the lexer ends the number at 1, so -2
+    // would otherwise start a second statement.
+    {"PRINT 1-2;",
+     StatusCode::kInvalidArgument,
+     "mil:1:8: error: expected ';' after statement, got '-2'"},
+    {"VAR x := 3 PRINT x;",
+     StatusCode::kInvalidArgument,
+     "mil:1:12: error: expected ';' after statement, got 'PRINT'"},
+    // Syntax before semantics: the whole script is parsed before it is
+    // analyzed, so the later syntax error wins over the earlier NotFound.
+    {"PRINT nope; PRINT @;",
+     StatusCode::kInvalidArgument,
+     "mil:1:19: error: unexpected character '@' in MIL script"},
+};
+
 TEST_F(MilAnalyzerTest, MalformedCorpusRejectedWithPositions) {
-  const char* corpus[] = {
-      "PRINT bat('missing');",
-      // Stream seal-metadata BATs resolve like any other catalog name: a
-      // watch over a stream that was never attached is caught statically.
-      "PRINT bat('telemetry.@seals');",
-      "PRINT count(bat('values.@seals'));",
-      "PRINT frobnicate(1);",
-      "PRINT sum(1);",
-      "PRINT select(bat('values'));",
-      "PRINT 'unterminated;",
-      "x := 1;",
-      "VAR := 1;",
-      "VAR x;",
-      "PRINT insert(new('int'), 0, 'x');",
-      "PRINT insert(new('str'), 0, 1);",
-      "PRINT min(new('dbl'));",
-      "PRINT max(new('int'));",
-      "trace dump;",
-      "trace sideways;",
-      "PRINT threadcnt(0);",
-      "PRINT threadcnt(1.5);",
-      "PRINT new('quux');",
-      "check 42;",
-      "PRINT .;",
-      "PRINT @;",
-      "PRINT sum(bat('names'));",
-      "PRINT select(bat('values'), 'alpha');",
-      "PRINT select(bat('names'), 0, 1);",
-      "PRINT count(reverse(bat('values')));",
-      "PRINT join(bat('values'), bat('values'));",
-      "PRINT concat(bat('values'), bat('names'));",
-      "save 42;",
-      "load;",
-      // Numbers cast to integers must be representable.
-      "PRINT slice(bat('values'), -1, 5);",
-      "PRINT slice(bat('values'), 0, 1e30);",
-      "PRINT insert(new('int'), 0, 1e300);",
-      "PRINT insert(new('int'), 0, -1e19);",
-      "PRINT insert(new('oid'), 0, -2);",
-      "PRINT insert(new('dbl'), -1, 0.5);",
-      "PRINT insert(new('str'), 1e20, 'x');",
-  };
-  for (const char* script : corpus) {
-    DiagnosticList diags = Analyze(script);
-    ASSERT_FALSE(diags.ok()) << script;
-    const Diagnostic d = FirstError(diags);
-    EXPECT_GE(d.line, 1) << script;
-    EXPECT_GE(d.col, 1) << script;
-    EXPECT_FALSE(d.message.empty()) << script;
-    // The session path must agree (and refuse to execute anything).
+  for (const MalformedMil& c : kMalformedMil) {
+    const Status analyzed = Analyze(c.script).ToStatus("mil");
+    EXPECT_EQ(analyzed.code(), c.code) << c.script;
+    EXPECT_EQ(analyzed.message(), c.message) << c.script;
     MilSession session(&catalog_);
-    EXPECT_FALSE(session.Execute(script).ok()) << script;
+    const Result<std::string> executed = session.Execute(c.script);
+    ASSERT_FALSE(executed.ok()) << c.script;
+    EXPECT_EQ(executed.status().code(), c.code) << c.script;
+    EXPECT_EQ(executed.status().message(), c.message) << c.script;
   }
 }
 
@@ -629,6 +727,95 @@ TEST_F(MilSessionVerifyTest, CheckIsStrictAboutSnapshotHazards) {
   auto values = catalog_.Get("values");
   ASSERT_TRUE(values.ok());
   EXPECT_EQ((*values)->size(), 10u);
+}
+
+// `check` analyzes on the session's own grid: with unit morsels and two
+// shards, the range [0.42, 0.48] falls in the gap between the shards' zone
+// maps [0, 0.4] and [0.5, 0.9] — the same proof the session's own analysis
+// of the select makes.
+TEST_F(MilSessionVerifyTest, CheckAnalyzesOnTheSessionGrid) {
+  ExecContext exec;
+  exec.morsel_rows = 1;
+  session_->set_exec(exec);
+  ASSERT_TRUE(session_->Execute("shards(2);").ok());
+  auto out = session_->Execute(
+      "check 'PRINT count(select(bat(\"values\"), 0.42, 0.48));';");
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_NE(out->find("every shard's zone map misses"), std::string::npos)
+      << *out;
+}
+
+// -- Seeded mutation: the front end under arbitrary MIL text ---------------
+
+// Deterministic mutants of the valid and malformed corpora — bit flips,
+// deletions, insertions from the MIL alphabet, truncations, and splices of
+// two entries — each run on a fresh catalog and in-memory filesystem. Every
+// mutant must come back as a typed Status (no crash under the asan and
+// ubsan presets), and whenever the analyzer rejects one, execution must
+// fail with exactly the analyzer's code and message bytes.
+TEST_F(MilAnalyzerTest, SeededMutantsAgreeWithExecution) {
+  ::unsetenv("COBRA_DATA_DIR");
+  std::vector<std::string> corpus(std::begin(kValidMil), std::end(kValidMil));
+  for (const MalformedMil& c : kMalformedMil) corpus.push_back(c.script);
+  const char* const kAlphabet[] = {
+      "(", ")", ",", ";", ":=", "'", "\"", "#", "\n", " ", "-", "+", ".",
+      "e", "0", "1", "7", "x", "@", "VAR x := ", "PRINT ", "trace on",
+      "trace dump", "check ", "save 'd'", "load 'd'", "checkpoint",
+      "bat('values')", "bat('names')", "select(", "insert(", "new('oid')",
+      "shards(2);", "threadcnt(", "info(", "concat(", "join(", "count(",
+      "argmax(", "slice(", "group(", "persist('values', ", "1e300", "-1",
+  };
+  Rng rng(20020325);
+  size_t rejected = 0;
+  constexpr size_t kMutants = 5000;
+  for (size_t i = 0; i < kMutants; ++i) {
+    std::string m = corpus[rng.UniformInt(corpus.size())];
+    for (uint64_t n = 1 + rng.UniformInt(uint64_t{2}); n > 0; --n) {
+      const size_t at = rng.UniformInt(m.size() + 1);
+      switch (rng.UniformInt(uint64_t{5})) {
+        case 0:  // bit flip
+          if (at < m.size()) {
+            const int bit = static_cast<int>(rng.UniformInt(uint64_t{8}));
+            m[at] = static_cast<char>(m[at] ^ (1 << bit));
+          }
+          break;
+        case 1:  // deletion
+          if (at < m.size()) m.erase(at, 1 + rng.UniformInt(uint64_t{4}));
+          break;
+        case 2:  // insertion
+          m.insert(at, kAlphabet[rng.UniformInt(std::size(kAlphabet))]);
+          break;
+        case 3:  // truncation
+          m.resize(at);
+          break;
+        default: {  // splice: this prefix, another entry's suffix
+          const std::string& other = corpus[rng.UniformInt(corpus.size())];
+          m = m.substr(0, at) + other.substr(rng.UniformInt(other.size() + 1));
+          break;
+        }
+      }
+    }
+    Catalog catalog;
+    for (const std::string& name : catalog_.Names()) {
+      catalog.Put(name, **catalog_.Get(name));
+    }
+    io::MemFs fs;
+    MilAnalysisContext actx;
+    actx.catalog = &catalog;
+    actx.fs = &fs;
+    const Status analyzed = AnalyzeMilScript(m, actx).ToStatus("mil");
+    MilSession session(&catalog);
+    session.set_fs(&fs);
+    const Result<std::string> executed = session.Execute(m);
+    if (analyzed.ok()) continue;
+    ++rejected;
+    ASSERT_FALSE(executed.ok()) << m;
+    EXPECT_EQ(executed.status().code(), analyzed.code()) << m;
+    EXPECT_EQ(executed.status().message(), analyzed.message()) << m;
+  }
+  // Both verdicts occur, so execution runs on accepted mutants too.
+  EXPECT_GT(rejected, kMutants / 2);
+  EXPECT_GT(kMutants - rejected, kMutants / 50);
 }
 
 }  // namespace

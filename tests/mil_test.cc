@@ -119,6 +119,9 @@ TEST_F(MilTest, ErrorsAreReported) {
   EXPECT_FALSE(session_->Execute("PRINT sum(1);").ok());
   EXPECT_FALSE(session_->Execute("PRINT select(bat('values'));").ok());
   EXPECT_FALSE(session_->Execute("PRINT 'unterminated;").ok());
+  // Every statement ends in ';'.
+  EXPECT_FALSE(session_->Execute("PRINT 1-2;").ok());
+  EXPECT_FALSE(session_->Execute("VAR x := 3 PRINT x;").ok());
 }
 
 // Malformed scripts must come back as non-ok Results with a message that

@@ -21,6 +21,10 @@
 //                        same function, so a crash cannot lose the
 //                        directory entry of a file the store already calls
 //                        durable.
+//   4. one-mil-front-end — MilLexer appears in exactly one src/kernel
+//                        file: the MIL interpreter and analyzer walk one
+//                        parsed program, and a second token walk would let
+//                        their diagnostics drift apart again.
 //
 // Usage:
 //   cobra_lint <repo-root>     lint the tree; exit 1 on any violation
@@ -36,6 +40,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -176,6 +181,24 @@ std::vector<Violation> CheckFsyncAfterRename(const std::string& file,
   return out;
 }
 
+// -- check 4: one MIL front end ----------------------------------------------
+
+/// `files` holds (path, content) pairs; exactly one may name the lexer.
+std::vector<Violation> CheckOneMilFrontEnd(
+    const std::vector<std::pair<std::string, std::string>>& files) {
+  std::string naming;
+  size_t count = 0;
+  for (const auto& [path, content] : files) {
+    if (content.find("MilLexer") == std::string::npos) continue;
+    naming += " " + path;
+    ++count;
+  }
+  if (count == 1) return {};
+  return {{"src/kernel", 0,
+           "one-mil-front-end: MilLexer must appear in exactly one file, "
+           "found in " + std::to_string(count) + ":" + naming}};
+}
+
 // -- driver ------------------------------------------------------------------
 
 const std::string& LoadFromDisk(const std::string& path, std::string* storage) {
@@ -216,6 +239,20 @@ int LintRepo(const std::string& repo) {
 
   for (Violation& v : CheckNodiscard(repo, &LoadFromDisk)) {
     violations.push_back(std::move(v));
+  }
+
+  {
+    std::vector<std::pair<std::string, std::string>> kernel;
+    std::error_code ec;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(repo + "/src/kernel", ec)) {
+      bool ok = false;
+      kernel.emplace_back(entry.path().string(),
+                          ReadFile(entry.path().string(), &ok));
+    }
+    for (Violation& v : CheckOneMilFrontEnd(kernel)) {
+      violations.push_back(std::move(v));
+    }
   }
 
   {
@@ -300,6 +337,19 @@ int SelfTest() {
   no_execute.erase(no_execute.find(execute), execute.size());
   expect(CheckSpanCoverage(no_execute, "fake").size() == 1,
          "a removed query-path span must be flagged");
+
+  // one MIL front end: one file naming the lexer passes, two (a second
+  // token walk) are flagged.
+  const std::pair<std::string, std::string> parser = {
+      "mil_program.cc", "class MilLexer {"};
+  const std::pair<std::string, std::string> walker = {"mil.cc",
+                                                       "ParseMilScript(s);"};
+  const std::pair<std::string, std::string> rewalk = {"mil_analyzer.cc",
+                                                       "MilLexer lexer(s);"};
+  expect(CheckOneMilFrontEnd({parser, walker}).empty(),
+         "one file naming MilLexer must pass");
+  expect(CheckOneMilFrontEnd({parser, rewalk}).size() == 1,
+         "two files naming MilLexer must be flagged");
 
   if (failures == 0) {
     std::printf("cobra_lint: self-test passed\n");
